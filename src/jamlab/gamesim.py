@@ -50,6 +50,15 @@ class RandomizedLinear:
             raise InvalidProfile("bernoulli_p must lie in [0, 1]")
 
 
+def _freeze_values(curve) -> None:
+    """Store a curve's values as a read-only float copy matching its grid."""
+    vals = np.asarray(curve.values, dtype=float).copy()
+    if vals.shape != (curve.grid.num_points,):
+        raise ValueError("curve values shape must match the grid")
+    vals.flags.writeable = False
+    object.__setattr__(curve, "values", vals)
+
+
 @dataclass(frozen=True)
 class DeterministicEncoder:
     """Y = g(X) for a fixed curve tabulated on a grid."""
@@ -57,13 +66,10 @@ class DeterministicEncoder:
     values: np.ndarray
     label: str = "curve"
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+    __post_init__ = _freeze_values
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.interp(x, self.grid.x, self.values)
+        return self.grid.lookup(x, self.values)
 
 
 @dataclass(frozen=True)
@@ -96,13 +102,10 @@ class CurveDecoder:
     grid: GridSpec
     values: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+    __post_init__ = _freeze_values
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return np.interp(u, self.grid.x, self.values)
+        return self.grid.lookup(u, self.values)
 
 
 @dataclass(frozen=True)
@@ -317,8 +320,10 @@ def simulate(cfg: JammingGameConfig, profile: StrategyProfile, trials: int,
             xhat = dec.apply(u) if gam is None else gam * dec.apply(gam * u)
         elif isinstance(dec, MmseGivenProfile):
             if randomized:
-                xhat = np.where(gam > 0, tables[1.0].apply(u),
-                                tables[-1.0].apply(u))
+                xhat = np.empty(k)
+                for s in (1.0, -1.0):
+                    at = np.flatnonzero(gam == s)  # faster than a boolean mask
+                    xhat[at] = tables[s].apply(u[at])
             else:
                 xhat = tables.apply(u)
         else:

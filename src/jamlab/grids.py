@@ -50,6 +50,17 @@ class GridSpec:
         a.flags.writeable = False
         return a
 
+    def lookup(self, x, values: np.ndarray) -> np.ndarray:
+        """``np.interp(x, self.x, values)``, with the interval found by index
+        arithmetic on the uniform grid instead of by binary search."""
+        n = self.num_points
+        t = np.clip(x / self.dx + n // 2, 0.0, n - 1)
+        i = np.fmax(t, 0.0).astype(np.intp)  # a NaN reads index 0
+        slope = (np.diff(values, append=values[-1])
+                 / np.diff(self.x, append=self.x[-1] + self.dx))
+        offset = np.clip(x, self.x[0], self.x[-1]) - self.x.take(i)
+        return values.take(i) + slope.take(i) * offset
+
     @property
     def omega_max(self) -> float:
         """Largest representable frequency magnitude."""

@@ -37,8 +37,7 @@ from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
 from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
                      UnstableIntegration)
-from .estimation import (_DENSITY_FLOOR, linear_benchmark, mmse_estimator,
-                         output_density)
+from .estimation import _DENSITY_FLOOR, mmse_estimator, output_density
 from .grids import GridSpec
 
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
@@ -743,8 +742,3 @@ def _identity_residual(b, g, dfx, fz, domega) -> float:
     k = max(2 * order, 2)
     inner = resid[k:-k] if len(resid) > 2 * k else resid
     return float(np.max(np.abs(inner))) if len(inner) else float("nan")
-
-
-def attainable_bound(source: DistributionModel, noise_budget: float) -> float:
-    """Linear-estimation benchmark at the search budget."""
-    return linear_benchmark(source.variance, noise_budget)

@@ -5,8 +5,9 @@ import pytest
 
 import jamlab as jl
 from jamlab.errors import InvalidProfile, PowerViolation
-from jamlab.gamesim import (CorrelatedJammer, DeterministicEncoder,
-                            IndependentNoise, LinearDecoder, MmseGivenProfile,
+from jamlab.gamesim import (CorrelatedJammer, CurveDecoder,
+                            DeterministicEncoder, IndependentNoise,
+                            LinearDecoder, MmseGivenProfile,
                             RandomizedLinear, StrategyProfile,
                             bernoulli_exploit_check, companding_encoders,
                             mmse_decoder_for_encoder, saddle_gain,
@@ -46,6 +47,24 @@ def test_simulation_deterministic():
     b = simulate(UNIT_CFG, saddle_profile(UNIT_CFG), 50_000, seed=11)
     assert a.empirical_cost == b.empirical_cost
     assert a.std_error == b.std_error
+
+
+def test_curve_and_per_sign_mmse_results_pinned():
+    # recorded when both curves were looked up with np.interp and both sign
+    # tables ran on every sample; the grid lookup keeps np.interp's slope
+    # formula, so only rounding may move these
+    enc = companding_encoders(UNIT_CFG)[1]
+    dec = mmse_decoder_for_encoder(UNIT_CFG, enc, jl.gaussian(1.0))
+    profile = StrategyProfile(enc, IndependentNoise(jl.gaussian(1.0)), dec)
+    out = simulate(UNIT_CFG, profile, 100_000, seed=17)
+    assert out.empirical_cost == pytest.approx(0.719272416548102, rel=1e-12)
+    assert out.std_error == pytest.approx(0.0027884057122699053, rel=1e-12)
+    profile = StrategyProfile(RandomizedLinear(0.5),
+                              CorrelatedJammer(0.7, jl.gaussian(1.0)),
+                              MmseGivenProfile())
+    out = simulate(UNIT_CFG, profile, 100_000, seed=17)
+    assert out.empirical_cost == pytest.approx(0.6453781236385819, rel=1e-12)
+    assert out.std_error == pytest.approx(0.0033423882007886816, rel=1e-12)
 
 
 def test_trial_floor_enforced():
@@ -109,6 +128,14 @@ def test_jammer_power_violation():
                               LinearDecoder(0.3))
     with pytest.raises(PowerViolation):
         simulate(UNIT_CFG, profile, 10_000, seed=1)
+
+
+@pytest.mark.parametrize("cls", [DeterministicEncoder, CurveDecoder])
+@pytest.mark.parametrize("size", [63, 65])
+def test_curve_values_must_match_grid(cls, size):
+    g = jl.GridSpec(half_width=1.0, num_points=64)
+    with pytest.raises(ValueError, match="shape must match the grid"):
+        cls(g, np.zeros(size))
 
 
 def test_bad_bernoulli_parameter():
