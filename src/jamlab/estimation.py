@@ -52,15 +52,20 @@ def convolve_tables(f: np.ndarray, g: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _bayes_ratio(fx: np.ndarray, fz: np.ndarray, grid: GridSpec):
     num = convolve_tables(grid.x * fx, fz, grid)
     den = convolve_tables(fx, fz, grid)
+    return _floored_ratio(num, den), den
+
+
+def _floored_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den above the density floor, extended outward by the nearest value."""
     ok = den > _DENSITY_FLOOR
-    h = np.zeros(grid.num_points)
+    h = np.zeros(len(den))
     h[ok] = num[ok] / den[ok]
     idx = np.nonzero(ok)[0]
     if len(idx) == 0:
         raise GridTooNarrow("output density vanishes everywhere on the grid")
     h[:idx[0]] = h[idx[0]]
     h[idx[-1] + 1:] = h[idx[-1]]
-    return h, den
+    return h
 
 
 def _weighted_linear_fit(h: np.ndarray, fu: np.ndarray, grid: GridSpec):

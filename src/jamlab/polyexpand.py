@@ -37,7 +37,8 @@ from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
 from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
                      UnstableIntegration)
-from .estimation import _DENSITY_FLOOR, mmse_estimator, output_density
+from .estimation import (_DENSITY_FLOOR, _floored_ratio, mmse_estimator,
+                         output_density)
 from .grids import GridSpec
 
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
@@ -234,20 +235,6 @@ class NoiseSearchResult:
     clip_magnitude: float = 0.0
 
 
-def _tail_energy(fx: np.ndarray, fz: np.ndarray, grid: GridSpec) -> tuple:
-    """(nonlinear coefficient energy of h, table MMSE) for the pair of tables."""
-    from .estimation import _bayes_ratio  # shared quadrature core
-    h, fu = _bayes_ratio(fx, fz, grid)
-    w = fu * grid.dx
-    eh2 = float(w @ h**2)
-    c0 = float(w @ h)
-    su2 = float(w @ grid.x**2)
-    c1 = float(w @ (grid.x * h)) / math.sqrt(su2)
-    tail = max(0.0, eh2 - c0 * c0 - c1 * c1)
-    var_x = float(np.sum(grid.x**2 * fx) * grid.dx)
-    return tail, var_x - eh2
-
-
 def _unpack_mixture(params: np.ndarray, k: int, budget: float, sigma_floor: float):
     logits = np.concatenate([params[:k - 1], [0.0]])
     wts = np.exp(logits - logits.max())
@@ -313,6 +300,17 @@ def _gram_charlier_table(params, order: int, budget: float, grid: GridSpec):
     return f, clip
 
 
+def _family_table(family, params, budget: float, grid: GridSpec):
+    """(noise table, clip magnitude) of a parametric family's parameter
+    vector, or None when the vector gives no usable density."""
+    if isinstance(family, GaussianMixtureFamily):
+        got = _unpack_mixture(params, family.k, budget, 2.0 * grid.dx)
+        return None if got is None else (_mixture_table(*got, grid), 0.0)
+    if isinstance(family, GramCharlierFamily):
+        return _gram_charlier_table(params, family.order, budget, grid)
+    raise ValueError(f"unknown family {family!r}")
+
+
 class _TableEnergy:
     """E[h^2] = sum num^2/den dx as a function of the noise table f_Z.
 
@@ -321,11 +319,19 @@ class _TableEnergy:
     spectra are computed once, so a product with A, B or their adjoints
     costs one real FFT pair.  Output points where den is below the density
     floor drop out, as in the Bayes ratio.
+
+    ``tail`` scores any noise table, the parametric families' included, on
+    the same spectra.  It multiplies kernel spectrum first, the operand
+    order of ``fftconvolve``; complex multiplication in numpy is not
+    bitwise commutative, and this order returns the same bits as the Bayes
+    ratio built on ``convolve_tables``.
     """
 
     def __init__(self, fx: np.ndarray, grid: GridSpec):
         n = grid.num_points
+        self._x = grid.x
         self._dx = grid.dx
+        self._var_x = float(np.sum(grid.x**2 * fx) * grid.dx)
         self._size = sfft.next_fast_len(2 * n - 1, real=True)
         self._on_grid = slice(n // 2, n // 2 + n)
         self._adjoint_on_grid = slice(n // 2 - 1, n // 2 - 1 + n)
@@ -356,6 +362,19 @@ class _TableEnergy:
         inv_den = np.where(ok, 1.0 / np.where(ok, den, 1.0), 0.0)
         h = num * inv_den
         return float(h @ num) * self._dx, h, inv_den
+
+    def tail(self, fz):
+        """(nonlinear coefficient energy of h, table MMSE); h is extended
+        past the density floor as in the Bayes ratio."""
+        spec = self._spectrum(fz)
+        num, den = [sfft.irfft(k * spec, self._size)[self._on_grid] * self._dx
+                    for k in self._kernels]
+        h = _floored_ratio(num, den)
+        w = den * self._dx
+        eh2 = float(w @ h**2)
+        c0 = float(w @ h)
+        c1 = float(w @ (self._x * h)) / math.sqrt(float(w @ self._x**2))
+        return max(0.0, eh2 - c0 * c0 - c1 * c1), self._var_x - eh2
 
     def gradient(self, h):
         """dx (A^T 2h - B^T h^2)."""
@@ -424,7 +443,7 @@ def _projected_cg(hvp, grad, precond, rows, maxiter: int) -> np.ndarray:
     return d
 
 
-def _grid_table_search(fx: np.ndarray, budget: float, grid: GridSpec):
+def _grid_table_search(objective: _TableEnergy, budget: float, grid: GridSpec):
     """Minimize E[h^2] over noise tables of unit mass, zero mean and power
     ``budget``; returns (table, Newton steps, converged).
 
@@ -438,7 +457,6 @@ def _grid_table_search(fx: np.ndarray, budget: float, grid: GridSpec):
     parameter mu is within mu * sum(w) dx (about mu) of the minimum, so the
     last mu bounds the barrier's cost at about 1e-8.
     """
-    objective = _TableEnergy(fx, grid)
     dx = grid.dx
     rows = np.vstack([np.ones_like(grid.x), grid.x, grid.x**2])
     target = np.array([1.0, 0.0, budget])
@@ -480,6 +498,17 @@ def _grid_table_search(fx: np.ndarray, budget: float, grid: GridSpec):
     return _match_moments(f, rows, target, dx), steps, converged
 
 
+def _search_energy(source: DistributionModel, noise_budget: float,
+                   grid: GridSpec | None):
+    """(grid, ``_TableEnergy`` of the source) for a search at this budget."""
+    if not (math.isfinite(noise_budget) and noise_budget > 0):
+        raise ValueError("noise budget must be finite and positive")
+    if grid is None:
+        scale = math.sqrt(noise_budget / source.variance)
+        grid = default_grid(source, source.scaled(scale), num_points=2048)
+    return grid, _TableEnergy(source.pdf_on(grid), grid)
+
+
 def worst_noise_search(source: DistributionModel, noise_budget: float,
                        order: int, family=GaussianMixtureFamily(3), *,
                        grid: GridSpec | None = None, seed: int = 0,
@@ -491,61 +520,37 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     ``GridTableFamily``: the convex problem over density tables, solved by
     ``_grid_table_search``; ``iterations`` then counts its Newton steps.  The
     objective is the full nonlinear coefficient energy of the induced optimal
-    estimator (see module docstring); the reported coefficients of the
-    optimum come from ``expansion_coeffs`` at the requested order.
+    estimator (see module docstring), not a sum truncated at an order:
+    ``order`` is accepted for the caller's record and not read, and no
+    expansion coefficients are returned.
     """
-    if noise_budget <= 0:
-        raise ValueError("noise budget must be positive")
     parametric = not isinstance(family, GridTableFamily)
     if parametric and family.parameter_count > 12:
         raise ValueError("family parameter count capped at 12")
-    if grid is None:
-        grid = default_grid(source, source.scaled(
-            math.sqrt(noise_budget / source.variance)),
-            num_points=2048)
-    fx = source.pdf_on(grid)
+    for name, value in (("restarts", restarts), ("maxfev", maxfev)):
+        if parametric and value < 1:
+            raise ValueError(f"{name} must be at least 1")
+    grid, energy = _search_energy(source, noise_budget, grid)
     if not parametric:
-        fz, steps, converged = _grid_table_search(fx, noise_budget, grid)
-        tail, mmse = _tail_energy(fx, fz, grid)
+        fz, steps, converged = _grid_table_search(energy, noise_budget, grid)
+        tail, mmse = energy.tail(fz)
         return NoiseSearchResult(noise=tabulated(grid, fz), objective=tail,
                                  mmse_attained=mmse, iterations=steps,
                                  converged=converged)
-    sigma_floor = 2.0 * grid.dx  # narrower components are unresolvable
     clip_seen = [0.0]
 
-    if isinstance(family, GaussianMixtureFamily):
-        nparams = family.parameter_count
-
-        def build(params):
-            got = _unpack_mixture(params, family.k, noise_budget, sigma_floor)
-            if got is None:
-                return None
-            return _mixture_table(*got, grid)
-    elif isinstance(family, GramCharlierFamily):
-        nparams = family.parameter_count
-
-        def build(params):
-            got = _gram_charlier_table(params, family.order, noise_budget, grid)
-            if got is None:
-                return None
-            clip_seen[0] = max(clip_seen[0], got[1])
-            return got[0]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
     def objective(params):
-        fz = build(params)
-        if fz is None:
+        got = _family_table(family, params, noise_budget, grid)
+        if got is None:
             return float("inf")
-        return _tail_energy(fx, fz, grid)[0]
+        clip_seen[0] = max(clip_seen[0], got[1])
+        return energy.tail(got[0])[0]
 
     rng = np.random.default_rng(seed)
-    best = None
-    best_x = None
-    total_evals = 0
-    converged = False
+    best = best_x = None
+    total_evals, converged = 0, False
     for _ in range(restarts):
-        x0 = rng.normal(0.0, 0.7, nparams)
+        x0 = rng.normal(0.0, 0.7, family.parameter_count)
         res = minimize(objective, x0, method="Nelder-Mead",
                        options=dict(maxfev=maxfev, fatol=1e-14, xatol=1e-7))
         total_evals += res.nfev
@@ -556,11 +561,11 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     if best is None or not np.isfinite(best):
         raise InfeasibleFamily("no parameter vector produced a usable density")
 
-    fz_best = build(best_x)
-    tail, mmse = _tail_energy(fx, fz_best, grid)
+    fz_best = _family_table(family, best_x, noise_budget, grid)[0]
+    tail, mmse = energy.tail(fz_best)
     if isinstance(family, GaussianMixtureFamily):
-        wts, mu, sg = _unpack_mixture(best_x, family.k, noise_budget, sigma_floor)
-        noise = gaussian_mixture(wts, mu, sg)
+        noise = gaussian_mixture(*_unpack_mixture(best_x, family.k, noise_budget,
+                                                  2.0 * grid.dx))
     else:
         noise = tabulated(grid, fz_best)
     return NoiseSearchResult(noise=noise, objective=tail, mmse_attained=mmse,
@@ -574,23 +579,13 @@ def probe_family(source: DistributionModel, noise_budget: float,
     """Objective values of random parameter draws; local-optimality witness."""
     if isinstance(family, GridTableFamily):
         raise ValueError("probing needs a parametric family")
-    if grid is None:
-        grid = default_grid(source, source.scaled(
-            math.sqrt(noise_budget / source.variance)),
-            num_points=2048)
-    fx = source.pdf_on(grid)
-    sigma_floor = 2.0 * grid.dx
+    grid, energy = _search_energy(source, noise_budget, grid)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_probes):
-        params = rng.normal(0.0, 0.7, family.parameter_count)
-        if isinstance(family, GaussianMixtureFamily):
-            got = _unpack_mixture(params, family.k, noise_budget, sigma_floor)
-            fz = None if got is None else _mixture_table(*got, grid)
-        else:
-            got = _gram_charlier_table(params, family.order, noise_budget, grid)
-            fz = None if got is None else got[0]
-        out.append(float("inf") if fz is None else _tail_energy(fx, fz, grid)[0])
+        got = _family_table(family, rng.normal(0.0, 0.7, family.parameter_count),
+                            noise_budget, grid)
+        out.append(float("inf") if got is None else energy.tail(got[0])[0])
     return np.array(out)
 
 

@@ -6,10 +6,12 @@ import pytest
 import jamlab as jl
 from jamlab.errors import (BasisMismatch, IllConditioned,
                            UnstableIntegration)
-from jamlab.estimation import linear_benchmark, mmse_estimator, output_density
+from jamlab.estimation import (_bayes_ratio, linear_benchmark, mmse_estimator,
+                               output_density)
 from jamlab.polyexpand import (GaussianMixtureFamily, GramCharlierFamily,
-                               GridTableFamily, _match_moments, _TableEnergy,
-                               build_basis, expansion_coeffs,
+                               GridTableFamily, _gram_charlier_table,
+                               _match_moments, _mixture_table, _TableEnergy,
+                               _unpack_mixture, build_basis, expansion_coeffs,
                                mmse_via_expansion, noise_from_estimator,
                                probe_family, worst_noise_search)
 
@@ -189,6 +191,10 @@ def test_rademacher_source_regression_baseline():
     assert res.objective == pytest.approx(0.0833, abs=3e-3)
     assert res.mmse_attained == pytest.approx(0.2500, abs=3e-3)
     assert res.mmse_attained < linear_benchmark(1.0, 0.5) - 0.05
+    # the exact result of this search, so that a change to its arithmetic shows
+    assert res.objective == pytest.approx(0.08333366447556312, rel=1e-12)
+    assert res.mmse_attained == pytest.approx(0.24999966885779867, rel=1e-12)
+    assert res.iterations == 13171
 
 
 def test_search_optimum_beats_random_probe():
@@ -204,11 +210,80 @@ def test_gram_charlier_family_runs_and_reports_clip():
     assert res.objective < 1e-6
     assert res.noise.variance == pytest.approx(1.0, rel=1e-6)
     assert res.clip_magnitude >= 0.0
+    # the exact result of this search, so that a change to its arithmetic shows
+    assert res.objective == pytest.approx(6.827871601444713e-15, rel=1e-12)
+    assert res.iterations == 1427
+    assert res.clip_magnitude == pytest.approx(0.33116570062899514, rel=1e-12)
+
+
+def test_capped_mixture_search_regression_pin():
+    # the benchmark's mixture search: every restart stops at its cap
+    res = worst_noise_search(jl.laplace(1.0), 1.0, 6, GaussianMixtureFamily(3),
+                             seed=1, maxfev=300)
+    assert res.objective == pytest.approx(0.00041810979166923, rel=1e-12)
+    assert res.mmse_attained == pytest.approx(0.49958947491598016, rel=1e-12)
+    assert res.iterations == 1500
 
 
 def test_family_parameter_cap():
     with pytest.raises(ValueError):
         worst_noise_search(jl.gaussian(1.0), 1.0, 6, GaussianMixtureFamily(5))
+
+
+@pytest.mark.parametrize("argument", ["restarts", "maxfev"])
+def test_search_rejects_empty_restart_budget(argument):
+    with pytest.raises(ValueError, match=argument):
+        worst_noise_search(jl.gaussian(1.0), 1.0, 6, GaussianMixtureFamily(2),
+                           **{argument: 0})
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_search_rejects_bad_noise_budget(budget):
+    for search in (
+            lambda: worst_noise_search(jl.gaussian(1.0), budget, 6),
+            lambda: worst_noise_search(jl.gaussian(1.0), budget, 6,
+                                       GridTableFamily()),
+            lambda: probe_family(jl.gaussian(1.0), budget,
+                                 GaussianMixtureFamily(2), 3, seed=0)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            search()
+
+
+def _reference_tail(fx, fz, grid):
+    """Nonlinear coefficient energy and table MMSE on the Bayes ratio built
+    from ``convolve_tables``."""
+    h, fu = _bayes_ratio(fx, fz, grid)
+    w = fu * grid.dx
+    eh2 = float(w @ h**2)
+    c0 = float(w @ h)
+    su2 = float(w @ grid.x**2)
+    c1 = float(w @ (grid.x * h)) / math.sqrt(su2)
+    tail = max(0.0, eh2 - c0 * c0 - c1 * c1)
+    var_x = float(np.sum(grid.x**2 * fx) * grid.dx)
+    return tail, var_x - eh2
+
+
+@pytest.mark.parametrize("budget", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("source", [jl.gaussian(1.0), jl.laplace(1.0),
+                                    jl.uniform(1.0), jl.rademacher_scaled(1.0)],
+                         ids=["gaussian", "laplace", "uniform", "rademacher"])
+def test_table_energy_tail_is_bitwise_the_bayes_ratio_tail(source, budget):
+    grid = jl.default_grid(source, source.scaled(math.sqrt(budget)),
+                           num_points=2048)
+    fx = source.pdf_on(grid)
+    energy = _TableEnergy(fx, grid)
+    rng = np.random.default_rng(11)
+    tables = []
+    while len(tables) < 24:
+        mixture = _unpack_mixture(rng.normal(0.0, 0.7, 8), 3, budget,
+                                  2.0 * grid.dx)
+        if mixture is not None:
+            tables.append(_mixture_table(*mixture, grid))
+        charlier = _gram_charlier_table(rng.normal(0.0, 0.7, 4), 6, budget, grid)
+        if charlier is not None:
+            tables.append(charlier[0])
+    for fz in tables:
+        assert energy.tail(fz) == _reference_tail(fx, fz, grid)
 
 
 # -- grid-table family -----------------------------------------------------------------
@@ -270,6 +345,12 @@ def test_grid_table_search_recovers_gaussian_noise():
     g = jl.default_grid(jl.gaussian(1.0), num_points=2048)
     dist = np.max(np.abs(res.noise.cf_at(g.omega) - jl.gaussian(1.0).cf_at(g.omega)))
     assert dist < 1e-2
+
+
+def test_grid_table_search_regression_pin():
+    res = worst_noise_search(jl.laplace(1.0), 1.0, 6, GridTableFamily())
+    assert res.objective == pytest.approx(4.6561865474359365e-11, rel=1e-12)
+    assert res.iterations == 129
 
 
 def test_grid_table_search_is_deterministic():
