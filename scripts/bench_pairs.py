@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, for a before/after record.
+
+Usage, from anywhere:
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload cli_runs \
+        --seeds 81-90 --out BENCH_6.json
+
+For each seed it runs ``python3 jambench/run.py --workload W --seed S
+--trace 0`` once in each checkout, at the benchmark's own run length, one after the other, and
+alternates which side runs first from one seed to the next, so a drift of
+the host's speed falls on both sides alike.  Each run's JSON summary (the
+last line ``run.py`` prints) is kept as it is.  For every end-to-end metric
+the record holds both sides' median and quartiles, the change's wins (pairs
+where it is better, in the direction ``BENCHMARK.json`` gives) and the
+median's relative change.  An existing ``--out`` file keeps its other
+workloads; this workload's entry is replaced.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"81-90"`` to the seeds 81 to 90."""
+    lo, hi = (int(v) for v in text.split("-"))
+    return list(range(lo, hi + 1))
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "jambench/run.py", "--workload", workload,
+           "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited with "
+                           f"{proc.returncode}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    names = sorted(set(pairs[0]["parent"]["metrics"])
+                   & set(pairs[0]["change"]["metrics"]))
+    out = {}
+    for name in names:
+        got = {side: [p[side]["metrics"][name]["value"] for p in pairs]
+               for side in SIDES}
+        lower = better.get(name, "lower") == "lower"
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(got["parent"], got["change"]))
+        parent, change = spread(got["parent"]), spread(got["change"])
+        out[name] = {
+            "unit": pairs[0]["parent"]["metrics"][name]["unit"],
+            "better": "lower" if lower else "higher",
+            "parent": parent, "change": change,
+            "change_wins": wins, "pairs": len(pairs),
+            "median_change": (change["median"] / parent["median"] - 1.0
+                              if parent["median"] else None),
+            "median_drop_over_parent_iqr": (
+                (parent["median"] - change["median"])
+                / (parent["q3"] - parent["q1"])
+                if parent["q3"] > parent["q1"] else None),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout before the change")
+    parser.add_argument("change", type=Path, help="checkout with the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="A-B")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    pairs = []
+    for i, seed in enumerate(parse_seeds(args.seeds)):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(dirs[side], args.workload, seed)
+            print(f"{args.workload} seed {seed} {side}: " + ", ".join(
+                f"{k} {v['value']:.4g}" for k, v in
+                sorted(pair[side]["metrics"].items())), flush=True)
+        pairs.append(pair)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record.setdefault("workloads", {})
+    record["host"] = {"cpus": os.cpu_count(), "machine": platform.machine(),
+                      "python": platform.python_version()}
+    record["command"] = "python3 jambench/run.py --workload <w> --seed <s> --trace 0"
+    record["workloads"][args.workload] = {
+        "seeds": [p["seed"] for p in pairs],
+        "metrics": summarize(pairs, better),
+        "failed": {side: [p[side]["failed"] for p in pairs] for side in SIDES},
+        "attempted": {side: [p[side]["attempted"] for p in pairs]
+                      for side in SIDES},
+        "pairs": pairs,
+    }
+    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    for name, m in record["workloads"][args.workload]["metrics"].items():
+        print(f"{args.workload}/{name}: {m['parent']['median']:.4g} -> "
+              f"{m['change']['median']:.4g} {m['unit']}, "
+              f"{m['change_wins']}/{m['pairs']} wins")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,7 +26,7 @@ from .distributions import (DistributionModel, default_grid, gaussian,
                             tabulated, uniform)
 from .errors import ConfigError, JamlabError
 from .estimation import mmse_estimator, output_density
-from .gamesim import (CorrelatedJammer, bernoulli_exploit_check,
+from .gamesim import (MIN_TRIALS, CorrelatedJammer, bernoulli_exploit_check,
                       saddle_profile, simulate, verify_lhs_inequality,
                       verify_rhs_inequality)
 from .grids import GridSpec
@@ -40,29 +40,41 @@ STOCHASTIC_TASKS = ("saddle", "deviate", "worst_noise")
 SWEEP_PARAMS = ("beta", "power_jam", "power_tx", "order")
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _require(mapping: dict, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object, not {type(mapping).__name__}")
     if key not in mapping:
         raise ConfigError(f"missing required field '{key}' in {context}")
     return mapping[key]
 
 
+def _num(value, field: str, kind=float):
+    """``kind(value)``, or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field '{field}' is not a valid {kind.__name__}: "
+                          f"{value!r}") from None
+
+
+def _trials(spec: dict) -> int:
+    trials = _num(spec.get("trials", 1_000_000), "trials", int)
+    if trials < MIN_TRIALS:
+        raise ConfigError(f"field 'trials' must be at least {MIN_TRIALS}, got {trials}")
+    return trials
+
+
 def build_model(spec: dict, base_dir: Path) -> DistributionModel:
-    family = _require(spec, "family", "distribution").lower()
-    if family == "gaussian":
-        return gaussian(_require(spec, "variance", "gaussian distribution"))
-    if family == "laplace":
-        return laplace(_require(spec, "variance", "laplace distribution"))
-    if family == "uniform":
-        return uniform(_require(spec, "variance", "uniform distribution"))
+    family = str(_require(spec, "family", "distribution")).lower()
+    closed = {"gaussian": gaussian, "laplace": laplace, "uniform": uniform}
+    if family in closed:
+        return closed[family](_num(_require(
+            spec, "variance", f"{family} distribution"), "variance"))
     if family == "rademacher":
         if "sigma" in spec:
-            return rademacher_scaled(spec["sigma"])
-        return rademacher_scaled(math.sqrt(
-            _require(spec, "variance", "rademacher distribution")))
+            return rademacher_scaled(_num(spec["sigma"], "sigma"))
+        return rademacher_scaled(math.sqrt(_num(_require(
+            spec, "variance", "rademacher distribution"), "variance")))
     if family == "gaussian_mixture":
         return gaussian_mixture(_require(spec, "weights", "mixture"),
                                 _require(spec, "means", "mixture"),
@@ -88,8 +100,8 @@ def build_game(game: dict, base_dir: Path) -> JammingGameConfig:
             source=build_model(_require(game, "source", "game"), base_dir),
             channel_noise=build_model(_require(game, "channel_noise", "game"),
                                       base_dir),
-            power_tx=float(_require(game, "power_tx", "game")),
-            power_jam=float(_require(game, "power_jam", "game")),
+            power_tx=_num(_require(game, "power_tx", "game"), "power_tx"),
+            power_jam=_num(_require(game, "power_jam", "game"), "power_jam"),
         )
     except (ValueError, JamlabError) as exc:
         if isinstance(exc, ConfigError):
@@ -118,19 +130,25 @@ def load_spec(path: str | Path) -> dict:
 
 def _grid_from(spec: dict, cfg: JammingGameConfig) -> GridSpec | None:
     g = spec.get("grid") or {}
-    points = int(g["num_points"]) if g.get("num_points") else 4096
+    points = _num(g.get("num_points") or 4096, "grid.num_points", int)
     if g.get("half_width"):
-        return GridSpec(float(g["half_width"]), points)
+        return GridSpec(_num(g["half_width"], "grid.half_width"), points)
     if points != 4096:
         return cfg.grid_for(num_points=points)
     return None
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a table given column by column.  A column is all ``str``, written
+    as is, or all numbers, written as ``%.17g`` of the float value: the same
+    bytes as a per-value ``f"{float(v):.17g}"``.  One row template per file."""
+    text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
+    cols = [c if t else np.asarray(c, dtype=float).tolist()
+            for c, t in zip(columns, text)]
+    row = ",".join("%s" if t else "%.17g" for t in text) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(map(row.__mod__, zip(*cols)))
 
 
 def _manifest(spec: dict, cfg: JammingGameConfig, outputs: dict,
@@ -182,22 +200,20 @@ def _task_match(spec, cfg, grid, out_dir, strict_paper):
         "truncated": result.jammer_cf.truncated,
     }
     _write_csv(out_dir / f"{spec['name']}_jammer_cf.csv",
-               ["omega", "re", "im"],
-               [[w, v.real, v.imag] for w, v in
-                zip(g.omega, result.jammer_cf.values)])
+               ["omega", "re", "im"], [g.omega, result.jammer_cf.values.real,
+                                       result.jammer_cf.values.imag])
     if result.matched:
         _write_csv(out_dir / f"{spec['name']}_jammer_density.csv",
-                   ["x", "density"],
-                   [[x, f] for x, f in zip(g.x, result.jammer_density.table)])
+                   ["x", "density"], [g.x, result.jammer_density.table])
     return 0, outputs, g
 
 
 def _task_saddle(spec, cfg, grid, out_dir, strict_paper):
-    trials = int(spec.get("trials", 1_000_000))
+    trials = _trials(spec)
     match = synthesize_jammer(cfg, grid)
     profile = saddle_profile(cfg, match.jammer_density if match.matched else None,
                              strict_paper=strict_paper)
-    outcome = simulate(cfg, profile, trials, int(spec["seed"]))
+    outcome = simulate(cfg, profile, trials, _num(spec["seed"], "seed", int))
     outputs = {
         "jammer": "matched" if match.matched else "gaussian-fallback",
         "empirical_cost": outcome.empirical_cost,
@@ -210,28 +226,25 @@ def _task_saddle(spec, cfg, grid, out_dir, strict_paper):
 
 
 def _task_deviate(spec, cfg, grid, out_dir, strict_paper):
-    trials = int(spec.get("trials", 1_000_000))
-    seed = int(spec["seed"])
-    rho = float(spec.get("rho", 0.7))
+    trials = _trials(spec)
+    seed = _num(spec["seed"], "seed", int)
+    rho = _num(spec.get("rho", 0.7), "rho")
     rhs = verify_rhs_inequality(cfg, trials, seed)
     lhs = verify_lhs_inequality(cfg, trials, seed)
     exploit = bernoulli_exploit_check(
         cfg, spec.get("p_values", [0.5, 1.0]),
         CorrelatedJammer(rho, gaussian(cfg.power_jam)), trials, seed)
-    rows, entries = [], []
-    for rep in (rhs, lhs):
-        for e in rep.entries:
-            entries.append({"side": rep.side, "label": e.label,
-                            "cost": e.outcome.empirical_cost,
-                            "std_error": e.outcome.std_error,
-                            "bound": e.bound, "passed": e.passed})
-            rows.append([rep.side, e.label, e.outcome.empirical_cost,
-                         e.outcome.std_error, e.bound, str(e.passed)])
+    entries = [{"side": rep.side, "label": e.label,
+                "cost": e.outcome.empirical_cost,
+                "std_error": e.outcome.std_error,
+                "bound": e.bound, "passed": e.passed}
+               for rep in (rhs, lhs) for e in rep.entries]
     ex_entries = [{"p": e.p, "cost": e.outcome.empirical_cost,
                    "std_error": e.outcome.std_error,
                    "expected_cost": e.expected_cost} for e in exploit.entries]
-    _write_csv(out_dir / f"{spec['name']}_deviations.csv",
-               ["side", "label", "cost", "std_error", "bound", "passed"], rows)
+    header = ["side", "label", "cost", "std_error", "bound", "passed"]
+    _write_csv(out_dir / f"{spec['name']}_deviations.csv", header,
+               [[str(e[k]) if k == "passed" else e[k] for e in entries] for k in header])
     ok = rhs.all_passed and lhs.all_passed
     outputs = {"entries": entries, "exploit": ex_entries,
                "all_passed": ok}
@@ -239,7 +252,7 @@ def _task_deviate(spec, cfg, grid, out_dir, strict_paper):
 
 
 def _task_mmse(spec, cfg, grid, out_dir, strict_paper):
-    order = int(spec.get("order", 6))
+    order = _num(spec.get("order", 6), "order", int)
     g = grid or default_grid(cfg.source, cfg.channel_noise)
     curve = mmse_estimator(cfg.source, cfg.channel_noise, g)
     fu = tabulated(g, output_density(cfg.source, cfg.channel_noise, g))
@@ -253,17 +266,18 @@ def _task_mmse(spec, cfg, grid, out_dir, strict_paper):
         "coefficients": list(coeffs.c),
     }
     _write_csv(out_dir / f"{spec['name']}_estimator.csv", ["u", "h"],
-               [[x, v] for x, v in zip(g.x, curve.values)])
+               [g.x, curve.values])
     _write_csv(out_dir / f"{spec['name']}_coefficients.csv", ["m", "c"],
-               [[float(m), c] for m, c in enumerate(coeffs.c)])
+               [np.arange(len(coeffs.c)), coeffs.c])
     return 0, outputs, g
 
 
 def _task_worst_noise(spec, cfg, grid, out_dir, strict_paper):
-    order = int(spec.get("order", 6))
-    k = int(spec.get("mixture_components", 3))
+    order = _num(spec.get("order", 6), "order", int)
+    k = _num(spec.get("mixture_components", 3), "mixture_components", int)
     res = worst_noise_search(cfg.source, cfg.power_jam, order,
-                             GaussianMixtureFamily(k), seed=int(spec["seed"]))
+                             GaussianMixtureFamily(k),
+                             seed=_num(spec["seed"], "seed", int))
     outputs = {
         "objective": res.objective,
         "mmse_attained": res.mmse_attained,
@@ -273,30 +287,29 @@ def _task_worst_noise(spec, cfg, grid, out_dir, strict_paper):
     }
     g = grid or default_grid(res.noise)
     _write_csv(out_dir / f"{spec['name']}_worst_noise_density.csv",
-               ["x", "density"],
-               [[x, f] for x, f in zip(g.x, res.noise.pdf_on(g))])
+               ["x", "density"], [g.x, res.noise.pdf_on(g)])
     return 0, outputs, g
 
 
 def _task_asymptotic(spec, cfg, grid, out_dir, strict_paper):
     betas = spec.get("betas")
-    if not betas:
-        raise ConfigError("asymptotic task needs a 'betas' list")
+    if not (isinstance(betas, list) and betas
+            and all(isinstance(b, (int, float)) for b in betas)):
+        raise ConfigError("field 'betas' must be a non-empty list of numbers")
     direction = spec.get("direction", "low_csnr")
     if direction == "low_csnr":
         out = asymptotic_gaussianization(cfg.source, betas, grid)
-        rows = [[b, d] for b, d in out]
         _write_csv(out_dir / f"{spec['name']}_asymptotic.csv",
-                   ["beta", "gaussian_distance"], rows)
+                   ["beta", "gaussian_distance"], list(zip(*out)))
         outputs = {"direction": direction,
                    "distances": [{"beta": b, "distance": d} for b, d in out]}
     elif direction == "high_csnr":
         out = gaussian_source_limit_check(cfg.channel_noise, betas, grid,
                                           power_jam=cfg.power_jam)
         fams = sorted(out[0][1])
-        rows = [[b] + [row[f] for f in fams] for b, row in out]
         _write_csv(out_dir / f"{spec['name']}_asymptotic.csv",
-                   ["beta"] + [f"distance_{f}" for f in fams], rows)
+                   ["beta"] + [f"distance_{f}" for f in fams],
+                   [[b for b, _ in out]] + [[r[f] for _, r in out] for f in fams])
         outputs = {"direction": direction,
                    "distances": [dict(beta=b, **row) for b, row in out]}
     else:
@@ -346,9 +359,7 @@ def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
     if any(not np.isfinite(v) or v <= 0 for v in values):
         raise ConfigError("sweep values must be finite and positive")
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    header = None
-    worst = 0
+    rows, header, worst = [], None, 0
     for v in values:
         sub = json.loads(json.dumps({k: w for k, w in spec.items()
                                      if not k.startswith("__")}))
@@ -378,7 +389,8 @@ def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
         if header is None:
             header = [parameter] + cols
         rows.append([v] + row)
-    _write_csv(out_dir / f"{spec['name']}_sweep_{parameter}.csv", header, rows)
+    _write_csv(out_dir / f"{spec['name']}_sweep_{parameter}.csv", header,
+               list(zip(*rows)))
     return worst
 
 
@@ -442,7 +454,8 @@ def main(argv=None) -> int:
             return run(spec, Path(args.out), strict_paper=args.strict_paper,
                        grid_points=args.grid_points,
                        half_width=args.grid_halfwidth, seed=args.seed)
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [_num(v, "--values") for v in args.values.split(",")
+                  if v.strip()]
         if not values:
             raise ConfigError("--values is empty")
         if args.seed is not None:

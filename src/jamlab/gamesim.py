@@ -29,6 +29,7 @@ from .grids import GridSpec
 from .matching import JammingGameConfig, synthesize_jammer
 
 _CHUNK = 1 << 16
+MIN_TRIALS = 10_000
 _POWER_RTOL = 1e-3
 _STREAM_X, _STREAM_GAMMA, _STREAM_Z, _STREAM_N = 0, 1, 2, 3
 
@@ -279,7 +280,7 @@ def simulate(cfg: JammingGameConfig, profile: StrategyProfile, trials: int,
     shared-sign stream; swapping it must not change the cost distribution
     (the randomization is exchangeable), which tests exploit.
     """
-    if trials < 10_000:
+    if trials < MIN_TRIALS:
         raise ValueError("at least 10^4 trials required")
     _check_powers(cfg, profile)
 

@@ -306,9 +306,7 @@ def _family_table(family, params, budget: float, grid: GridSpec):
     if isinstance(family, GaussianMixtureFamily):
         got = _unpack_mixture(params, family.k, budget, 2.0 * grid.dx)
         return None if got is None else (_mixture_table(*got, grid), 0.0)
-    if isinstance(family, GramCharlierFamily):
-        return _gram_charlier_table(params, family.order, budget, grid)
-    raise ValueError(f"unknown family {family!r}")
+    return _gram_charlier_table(params, family.order, budget, grid)
 
 
 class _TableEnergy:
@@ -498,6 +496,11 @@ def _grid_table_search(objective: _TableEnergy, budget: float, grid: GridSpec):
     return _match_moments(f, rows, target, dx), steps, converged
 
 
+def _check_family(family) -> None:
+    if not isinstance(family, (GaussianMixtureFamily, GramCharlierFamily, GridTableFamily)):
+        raise ValueError(f"unknown family {family!r}")
+
+
 def _search_energy(source: DistributionModel, noise_budget: float,
                    grid: GridSpec | None):
     """(grid, ``_TableEnergy`` of the source) for a search at this budget."""
@@ -524,6 +527,7 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     ``order`` is accepted for the caller's record and not read, and no
     expansion coefficients are returned.
     """
+    _check_family(family)
     parametric = not isinstance(family, GridTableFamily)
     if parametric and family.parameter_count > 12:
         raise ValueError("family parameter count capped at 12")
@@ -577,6 +581,7 @@ def probe_family(source: DistributionModel, noise_budget: float,
                  family, n_probes: int, seed: int,
                  grid: GridSpec | None = None) -> np.ndarray:
     """Objective values of random parameter draws; local-optimality witness."""
+    _check_family(family)
     if isinstance(family, GridTableFamily):
         raise ValueError("probing needs a parametric family")
     grid, energy = _search_energy(source, noise_budget, grid)

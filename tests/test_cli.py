@@ -4,21 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from jamlab.cli import derive_quantities, load_spec, main
+from jamlab.cli import _write_csv, build_game, derive_quantities, load_spec, main
 from jamlab.errors import ConfigError
+from jamlab.matching import synthesize_jammer
+
+
+_UNIT_GAME = {
+    "source": {"family": "gaussian", "variance": 1.0},
+    "channel_noise": {"family": "gaussian", "variance": 1.0},
+    "power_tx": 1.0, "power_jam": 1.0,
+}
 
 
 def write_spec(tmp_path, **overrides):
-    spec = {
-        "name": "unit-gauss",
-        "task": "match",
-        "game": {
-            "source": {"family": "gaussian", "variance": 1.0},
-            "channel_noise": {"family": "gaussian", "variance": 1.0},
-            "power_tx": 1.0,
-            "power_jam": 1.0,
-        },
-    }
+    spec = {"name": "unit-gauss", "task": "match", "game": _UNIT_GAME}
     spec.update(overrides)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -59,6 +58,175 @@ def test_bad_json_is_config_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == 1
+
+
+def _with_source(**fields):
+    return {**_UNIT_GAME, "source": {**_UNIT_GAME["source"], **fields}}
+
+
+@pytest.mark.parametrize("overrides, command, field", [
+    ({"game": _with_source(family=3)}, "run", "family"),
+    (["task", "name", "game"], "run", "spec must be a JSON object"),
+    ({"game": _with_source(variance=None)}, "run", "'variance'"),
+    ({"task": "saddle", "trials": 10_000, "seed": "abc"}, "run", "'seed'"),
+    ({"task": "mmse", "order": "x"}, "run", "'order'"),
+    ({"grid": {"num_points": "many"}}, "run", "'grid.num_points'"),
+    ({"task": "saddle", "trials": 0, "seed": 1}, "run", "'trials'"),
+    ({"task": "asymptotic", "betas": "abc"}, "run", "'betas'"),
+    ({}, "sweep", "'--values'"),
+], ids=["family", "list-spec", "variance", "seed", "order", "num-points",
+        "trials", "betas", "sweep-values"])
+def test_malformed_field_is_a_config_error(tmp_path, capsys, overrides,
+                                           command, field):
+    if isinstance(overrides, dict):
+        path = write_spec(tmp_path, **overrides)
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(overrides))
+    argv = [command, str(path), "--out", str(tmp_path / "r")]
+    if command == "sweep":
+        argv += ["--param", "power_jam", "--values", "1,abc"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+
+
+# -- CSV bytes ---------------------------------------------------------------------
+
+
+def _old_write_csv(path, header, rows):
+    """The row-wise writer with one f-string per value that the column-wise
+    ``_write_csv`` replaced; kept as the reference for its bytes."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else f"{float(v):.17g}"
+                              for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+_SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+            -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-300,
+            -1e-300, 1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3,
+            2.0 ** 53 + 2, 1.0, -123456789.0, 1e16, 1e17, 123456789012345678.0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_write_csv_matches_the_row_wise_formatter(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = 4096
+    bits = rng.integers(0, 2**64, size=(2, n), dtype=np.uint64).view(np.float64)
+    bits[0, :len(_SPECIAL)] = _SPECIAL
+    columns = [
+        bits[0],                                          # float64 array
+        bits[1].tolist(),                                 # Python floats
+        rng.integers(-2**62, 2**62, size=n),              # int64 array
+        [int(v) for v in rng.integers(-10**6, 10**6, size=n)],
+        rng.random(n) < 0.5,                              # bool array
+        [bool(v) for v in rng.random(n) < 0.5],           # Python bools
+        rng.standard_normal(n).astype(np.float32),        # float32 array
+        [f"s{v}" for v in rng.integers(0, 99, size=n)],   # str
+        [str(v) for v in rng.random(n) < 0.5],            # "True" / "False"
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    _old_write_csv(tmp_path / "old.csv", header, list(zip(*columns)))
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_with_zero_rows_writes_the_header_only(tmp_path):
+    _write_csv(tmp_path / "t.csv", ["a", "b", "c"], [[], np.array([]), ()])
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n"
+
+
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _columns(path):
+    """(header, columns) of a written CSV, each cell parsed as by ``_cell``."""
+    header, *lines = path.read_text().splitlines()
+    return header.split(","), list(zip(*[[_cell(v) for v in line.split(",")]
+                                         for line in lines]))
+
+
+def _same(got, want):
+    return np.array_equal(np.asarray(got, dtype=float),
+                          np.asarray(want, dtype=float), equal_nan=True)
+
+
+def test_every_task_csv_has_the_row_wise_bytes(tmp_path):
+    """Each number cell of every CSV the tasks write is re-parsed and written
+    again by the row-wise formatter; ``%.17g`` round-trips, so the bytes
+    must be the same on any platform.  The cells must also be the task's
+    own data, column for column: the recomputed jammer, or the manifest."""
+    out = tmp_path / "results"
+
+    def run(name, command=("run",), **overrides):
+        path = write_spec(tmp_path, name=name, **overrides)
+        assert main([command[0], str(path), "--out", str(out),
+                     *command[1:]]) == 0
+
+    run("match-matched")
+    run("match-none", game={**_UNIT_GAME,
+                            "source": {"family": "rademacher", "sigma": 1.0},
+                            "power_jam": 0.5})
+    run("mmse", task="mmse", order=4)
+    run("low", task="asymptotic", betas=[1, 4.0], direction="low_csnr")
+    run("high", task="asymptotic", betas=[1.0, 0.25], direction="high_csnr",
+        game={**_UNIT_GAME, "channel_noise": {"family": "laplace",
+                                              "variance": 1.0}})
+    run("dev", task="deviate", trials=10_000, seed=3)
+    run("sweep", ("sweep", "--param", "power_jam", "--values", "1,10"),
+        game={**_UNIT_GAME, "source": {"family": "uniform", "variance": 1.0},
+              "channel_noise": {"family": "rademacher", "variance": 1.0}})
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == 12
+    text = "".join(p.read_text() for p in csvs)
+    assert ",nan," in text and "no_match" in text and ",True" in text
+    for path in csvs:
+        header, *lines = path.read_text().splitlines()
+        rows = [[_cell(v) for v in line.split(",")] for line in lines]
+        _old_write_csv(tmp_path / "again.csv", header.split(","), rows)
+        assert path.read_bytes() == (tmp_path / "again.csv").read_bytes(), \
+            path.name
+
+    match = synthesize_jammer(build_game(_UNIT_GAME, tmp_path))
+    g = match.jammer_cf.grid
+    header, cols = _columns(out / "match-matched_jammer_cf.csv")
+    assert header == ["omega", "re", "im"]
+    for got, want in zip(cols, (g.omega, match.jammer_cf.values.real,
+                                match.jammer_cf.values.imag)):
+        assert _same(got, want)
+    header, cols = _columns(out / "match-matched_jammer_density.csv")
+    assert header == ["x", "density"]
+    assert _same(cols[0], g.x) and _same(cols[1], match.jammer_density.table)
+
+    def manifest(name):
+        return json.loads((out / f"{name}_result.json").read_text())["outputs"]
+
+    _, cols = _columns(out / "mmse_coefficients.csv")
+    coeffs = manifest("mmse")["coefficients"]
+    assert _same(cols[0], range(len(coeffs))) and _same(cols[1], coeffs)
+    header, cols = _columns(out / "high_asymptotic.csv")
+    rows = manifest("high")["distances"]
+    assert header[0] == "beta" and _same(cols[0], [r["beta"] for r in rows])
+    for name, col in zip(header[1:], cols[1:]):
+        assert _same(col, [r[name.removeprefix("distance_")] for r in rows])
+    header, cols = _columns(out / "dev_deviations.csv")
+    entries = manifest("dev")["entries"]
+    assert header == ["side", "label", "cost", "std_error", "bound", "passed"]
+    for name, col in zip(header, cols):
+        want = [e[name] for e in entries]
+        if name == "passed":
+            assert list(col) == [str(v) for v in want]
+        elif name in ("side", "label"):
+            assert list(col) == want
+        else:
+            assert _same(col, want), name
 
 
 # -- match task ------------------------------------------------------------------

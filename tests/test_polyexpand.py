@@ -365,6 +365,16 @@ def test_grid_table_family_cannot_be_probed():
         probe_family(jl.gaussian(1.0), 1.0, GridTableFamily(), 3, seed=0)
 
 
+def test_search_rejects_an_object_that_is_no_family():
+    with pytest.raises(ValueError, match="unknown family 'mixture'"):
+        worst_noise_search(jl.gaussian(1.0), 1.0, 6, "mixture")
+
+
+def test_probe_rejects_an_object_that_is_no_family():
+    with pytest.raises(ValueError, match="unknown family 'mixture'"):
+        probe_family(jl.gaussian(1.0), 1.0, "mixture", 3, seed=0)
+
+
 # -- estimator-to-noise recovery ---------------------------------------------------------
 
 
