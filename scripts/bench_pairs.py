@@ -13,8 +13,10 @@ the host's speed falls on both sides alike.  Each run's JSON summary (the
 last line ``run.py`` prints) is kept as it is.  For every end-to-end metric
 the record holds both sides' median and quartiles, the change's wins (pairs
 where it is better, in the direction ``BENCHMARK.json`` gives) and the
-median's relative change.  An existing ``--out`` file keeps its other
-workloads; this workload's entry is replaced.
+median's relative change, and each checkout's commit (``git rev-parse
+HEAD``, or null where the directory is not the root of a git checkout).
+An existing ``--out`` file keeps its other workloads; this workload's entry
+is replaced.
 """
 
 from __future__ import annotations
@@ -32,9 +34,32 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"81-90"`` to the seeds 81 to 90."""
-    lo, hi = (int(v) for v in text.split("-"))
+    """``"81-90"`` to the seeds 81 to 90; an empty or reversed range, or
+    anything else, is an ``argparse.ArgumentTypeError``."""
+    try:
+        lo, hi = (int(v) for v in text.split("-"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected A-B with integers A <= B, got {text!r}") from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(
+            f"seed range {text!r} is empty: {hi} < {lo}")
     return list(range(lo, hi + 1))
+
+
+def git_head(checkout: Path) -> str | None:
+    """``git rev-parse HEAD`` of a checkout, or None if the directory is not
+    the root of a git checkout."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
+                              cwd=checkout, capture_output=True, text=True)
+    except OSError:
+        return None
+    lines = proc.stdout.split()
+    if (proc.returncode != 0 or len(lines) != 2
+            or Path(lines[0]).resolve() != checkout.resolve()):
+        return None
+    return lines[1]
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -72,8 +97,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "change_wins": wins, "pairs": len(pairs),
             "median_change": (change["median"] / parent["median"] - 1.0
                               if parent["median"] else None),
-            "median_drop_over_parent_iqr": (
-                (parent["median"] - change["median"])
+            # how far the median moved in the better direction, in parent IQRs
+            "median_gain_over_parent_iqr": (
+                (parent["median"] - change["median"]) * (1 if lower else -1)
                 / (parent["q3"] - parent["q1"])
                 if parent["q3"] > parent["q1"] else None),
         }
@@ -85,7 +111,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout before the change")
     parser.add_argument("change", type=Path, help="checkout with the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="A-B")
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="A-B, with A <= B")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -93,7 +120,7 @@ def main(argv=None) -> int:
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     pairs = []
-    for i, seed in enumerate(parse_seeds(args.seeds)):
+    for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
@@ -110,6 +137,7 @@ def main(argv=None) -> int:
     record["command"] = "python3 jambench/run.py --workload <w> --seed <s> --trace 0"
     record["workloads"][args.workload] = {
         "seeds": [p["seed"] for p in pairs],
+        "commits": {side: git_head(dirs[side]) for side in SIDES},
         "metrics": summarize(pairs, better),
         "failed": {side: [p[side]["failed"] for p in pairs] for side in SIDES},
         "attempted": {side: [p[side]["attempted"] for p in pairs]

@@ -57,6 +57,21 @@ def _num(value, field: str, kind=float):
                           f"{value!r}") from None
 
 
+def _numbers(value, field: str) -> list:
+    """A non-empty JSON list of numbers, or a ConfigError naming the field."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(v, (int, float)) for v in value)):
+        raise ConfigError(f"field '{field}' must be a non-empty list of numbers")
+    return value
+
+
+def _grid_field(spec: dict) -> dict:
+    g = spec.get("grid") or {}
+    if not isinstance(g, dict):
+        raise ConfigError(f"field 'grid' must be a JSON object, not {type(g).__name__}")
+    return g
+
+
 def _trials(spec: dict) -> int:
     trials = _num(spec.get("trials", 1_000_000), "trials", int)
     if trials < MIN_TRIALS:
@@ -129,7 +144,7 @@ def load_spec(path: str | Path) -> dict:
 
 
 def _grid_from(spec: dict, cfg: JammingGameConfig) -> GridSpec | None:
-    g = spec.get("grid") or {}
+    g = _grid_field(spec)
     points = _num(g.get("num_points") or 4096, "grid.num_points", int)
     if g.get("half_width"):
         return GridSpec(_num(g["half_width"], "grid.half_width"), points)
@@ -229,11 +244,14 @@ def _task_deviate(spec, cfg, grid, out_dir, strict_paper):
     trials = _trials(spec)
     seed = _num(spec["seed"], "seed", int)
     rho = _num(spec.get("rho", 0.7), "rho")
+    p_values = _numbers(spec.get("p_values", [0.5, 1.0]), "p_values")
+    if not all(0.0 <= p <= 1.0 for p in p_values):
+        raise ConfigError(f"field 'p_values' must lie in [0, 1], got {p_values}")
     rhs = verify_rhs_inequality(cfg, trials, seed)
     lhs = verify_lhs_inequality(cfg, trials, seed)
     exploit = bernoulli_exploit_check(
-        cfg, spec.get("p_values", [0.5, 1.0]),
-        CorrelatedJammer(rho, gaussian(cfg.power_jam)), trials, seed)
+        cfg, p_values, CorrelatedJammer(rho, gaussian(cfg.power_jam)),
+        trials, seed)
     entries = [{"side": rep.side, "label": e.label,
                 "cost": e.outcome.empirical_cost,
                 "std_error": e.outcome.std_error,
@@ -275,6 +293,8 @@ def _task_mmse(spec, cfg, grid, out_dir, strict_paper):
 def _task_worst_noise(spec, cfg, grid, out_dir, strict_paper):
     order = _num(spec.get("order", 6), "order", int)
     k = _num(spec.get("mixture_components", 3), "mixture_components", int)
+    if k < 1:
+        raise ConfigError(f"field 'mixture_components' must be at least 1, got {k}")
     res = worst_noise_search(cfg.source, cfg.power_jam, order,
                              GaussianMixtureFamily(k),
                              seed=_num(spec["seed"], "seed", int))
@@ -292,11 +312,13 @@ def _task_worst_noise(spec, cfg, grid, out_dir, strict_paper):
 
 
 def _task_asymptotic(spec, cfg, grid, out_dir, strict_paper):
-    betas = spec.get("betas")
-    if not (isinstance(betas, list) and betas
-            and all(isinstance(b, (int, float)) for b in betas)):
-        raise ConfigError("field 'betas' must be a non-empty list of numbers")
+    betas = _numbers(spec.get("betas"), "betas")
     direction = spec.get("direction", "low_csnr")
+    steps = {"low_csnr": np.diff(betas), "high_csnr": -np.diff(betas)}
+    if direction in steps and not (min(betas) > 0 and np.all(steps[direction] > 0)):
+        order = "increasing" if direction == "low_csnr" else "decreasing"
+        raise ConfigError(f"field 'betas' must be positive and {order} for "
+                          f"{direction}, got {betas}")
     if direction == "low_csnr":
         out = asymptotic_gaussianization(cfg.source, betas, grid)
         _write_csv(out_dir / f"{spec['name']}_asymptotic.csv",
@@ -334,7 +356,7 @@ def run(spec: dict, out_dir: Path, strict_paper: bool = False,
     if seed is not None:
         spec = {**spec, "seed": seed}
     if grid_points or half_width:
-        g = dict(spec.get("grid") or {})
+        g = dict(_grid_field(spec))
         if grid_points:
             g["num_points"] = grid_points
         if half_width:

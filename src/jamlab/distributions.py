@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erf, erfcinv
@@ -32,6 +33,8 @@ TABULATED = "tabulated"
 
 _MOMENT_ORDER_CAP = 24  # higher-order moment Hankel matrices are singular in float64
 _MEAN_RTOL = 1e-9
+_GUIDE_BINS_PER_POINT = 8  # a power of two, so the guide's bin edges b/m are exact
+_INVERSION_BLOCK = 8192  # draws inverted at a time: 64 KB temporaries stay in cache
 
 
 def _gauss_cdf(x, var):
@@ -182,6 +185,9 @@ class DistributionModel:
     # -- sampling ------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws.  A tabulated model inverts its CDF at the right
+        cell edges: its draws equal ``np.interp(rng.random(size), cdf,
+        edges)`` bit for bit, with the normalized CDF ``cdf``."""
         if self.kind == GAUSSIAN:
             return rng.normal(0.0, self.sigma, size)
         if self.kind == LAPLACE:
@@ -198,11 +204,14 @@ class DistributionModel:
             s = np.array([c[2] for c in self.components])[idx]
             return mu + s * rng.normal(size=size)
         if self.kind == TABULATED:
-            cdf = np.cumsum(self.table) * self.grid.dx
-            cdf = cdf / cdf[-1]
-            edges = self.grid.x + self.grid.dx / 2
-            return np.interp(rng.random(size), cdf, edges)
+            return self._inverse_cdf(rng.random(size))
         raise ValueError(self.kind)
+
+    @cached_property
+    def _inverse_cdf(self) -> "_InverseCdf":
+        # built on the first draw, not in ``tabulated``: most tables are
+        # never sampled, and the table is read-only, so the cache cannot go stale
+        return _InverseCdf(self.grid, self.table)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -267,6 +276,72 @@ class DistributionModel:
         if self.kind == TABULATED:
             return self.grid.half_width
         raise ValueError(self.kind)
+
+
+class _InverseCdf:
+    """``np.interp(u, cdf, edges)`` for u in [0, 1), bit for bit, where
+    ``cdf`` is a table's normalized CDF at its right cell edges ``edges``.
+
+    The binary search for k = #{cdf <= u} is replaced by a guide table
+    (Chen & Asau 1974; Devroye 1986, III.2.4): with m bins over [0, 1),
+    ``guide[b] = #{cdf <= b/m}``, so a draw in bin b has k between
+    ``guide[b]`` and ``guide[b + 1]``.  Where those differ by at most one,
+    a single comparison fixes k; the few bins that hold more CDF points
+    (the flat tails) are marked -1 and their draws searched.  Then
+    np.interp's own arithmetic, with j = k - 1: u below cdf[0] gives
+    edges[0], u on a node gives edges[j], and otherwise
+    ``slope[j] * (u - cdf[j]) + edges[j]``.  The node, slope and edge
+    arrays carry one leading entry for k = 0 and one trailing slope for
+    k = n, so every k reads the same formula.
+    """
+
+    def __init__(self, grid: GridSpec, table: np.ndarray):
+        cdf = np.cumsum(table) * grid.dx
+        cdf /= cdf[-1]
+        edges = grid.x + grid.dx / 2
+        n = cdf.size
+        m = _GUIDE_BINS_PER_POINT * n
+        # #{cdf <= b/m} = #{ceil(cdf*m) <= b}: a histogram, not a search
+        guide = np.cumsum(np.bincount(np.ceil(cdf * m).astype(np.intp),
+                                      minlength=m + 1))
+        crowded = np.diff(guide) > 1
+        guide = guide[:-1].astype(np.int32)
+        guide[crowded] = -1
+        gap = np.diff(cdf)
+        with np.errstate(over="ignore"):  # a subnormal step has slope inf
+            slope = np.divide(np.diff(edges), gap, out=np.zeros(n - 1),
+                              where=gap > 0)  # no draw lands on a flat step
+        self._bins = float(m)
+        self._guide = guide
+        self._cdf = cdf
+        self._node = np.concatenate([[0.0], cdf])
+        self._edge = np.concatenate([edges[:1], edges])
+        self._slope = np.concatenate([[0.0], slope, [0.0]])
+        self._steep = bool(np.isinf(slope).any())
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """The draws for the uniforms ``u``, written over ``u``."""
+        for start in range(0, u.size, _INVERSION_BLOCK):
+            self._invert(u[start:start + _INVERSION_BLOCK])
+        return u
+
+    def _invert(self, u: np.ndarray) -> None:
+        # every index is in range; "clip" skips take's bounds check and lets
+        # it write into ``out`` without a buffer
+        k = self._guide.take(np.multiply(u, self._bins).astype(np.intp),
+                             mode="clip")
+        crowded = np.flatnonzero(k < 0)
+        if crowded.size:  # exact counts, so the fix-up below adds 0 to them
+            k[crowded] = np.searchsorted(self._cdf, u.take(crowded), "right")
+        k += self._cdf.take(k, mode="clip") <= u
+        d = self._node.take(k, mode="clip")
+        np.subtract(u, d, out=d)
+        with np.errstate(invalid="ignore"):
+            d *= self._slope.take(k, mode="clip")
+        if self._steep:  # inf * 0 on a node: np.interp returns its edge
+            d[np.isnan(d)] = 0.0
+        np.take(self._edge, k, out=u, mode="clip")
+        u += d
 
 
 # -- constructors ------------------------------------------------------------

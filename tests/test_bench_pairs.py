@@ -1,0 +1,105 @@
+import argparse
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+# -- seeds --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, seeds", [
+    ("81-90", list(range(81, 91))),
+    ("5-5", [5]),
+    ("0-2", [0, 1, 2]),
+])
+def test_parse_seeds(text, seeds):
+    assert bench_pairs.parse_seeds(text) == seeds
+
+
+@pytest.mark.parametrize("text", ["90-81", "2-1", "abc", "5", "1-2-3", "", "a-b"])
+def test_parse_seeds_rejects_empty_reversed_and_malformed(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.parse_seeds(text)
+
+
+def test_reversed_seed_range_is_an_argparse_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "deviate",
+                          "--seeds", "90-81", "--out", str(tmp_path / "b.json")])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
+
+
+# -- checkouts --------------------------------------------------------------------
+
+
+def test_git_head_is_none_outside_a_checkout_root(tmp_path):
+    assert bench_pairs.git_head(tmp_path) is None
+    sub = tmp_path / "repo"
+    sub.mkdir()
+    subprocess.run(["git", "init", "-q"], cwd=sub, check=True)
+    assert bench_pairs.git_head(sub) is None  # no commit yet
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                    "commit", "-q", "--allow-empty", "-m", "x"],
+                   cwd=sub, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=sub, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert bench_pairs.git_head(sub) == head
+    (sub / "inner").mkdir()
+    assert bench_pairs.git_head(sub / "inner") is None
+
+
+# -- summary --------------------------------------------------------------------
+
+
+def _pairs(parent, change, name, unit="s"):
+    return [{side: {"metrics": {name: {"value": v, "unit": unit}}}
+             for side, v in (("parent", p), ("change", c))}
+            for p, c in zip(parent, change)]
+
+
+def test_summarize_lower_is_better():
+    parent = [10.0, 12.0, 11.0, 13.0, 14.0]
+    change = [9.0, 12.5, 8.0, 9.5, 10.0]
+    m = bench_pairs.summarize(_pairs(parent, change, "pass_s"),
+                              {"pass_s": "lower"})["pass_s"]
+    assert m["better"] == "lower" and m["unit"] == "s"
+    assert m["change_wins"] == 4 and m["pairs"] == 5  # 12.5 > 12.0 loses
+    # statistics.quantiles' default (exclusive) method
+    assert m["parent"] == {"median": 12.0, "q1": 10.5, "q3": 13.5}
+    assert m["change"] == {"median": 9.5, "q1": 8.5, "q3": 11.25}
+    assert m["median_change"] == pytest.approx(9.5 / 12.0 - 1.0)
+    assert m["median_gain_over_parent_iqr"] == pytest.approx(2.5 / 3.0)
+
+
+def test_summarize_higher_is_better():
+    parent = [100.0, 110.0, 105.0, 95.0]
+    change = [120.0, 100.0, 130.0, 125.0]
+    m = bench_pairs.summarize(_pairs(parent, change, "trials_per_s", "1/s"),
+                              {"trials_per_s": "higher"})["trials_per_s"]
+    assert m["better"] == "higher"
+    assert m["change_wins"] == 3  # 100 < 110 loses
+    assert m["parent"] == {"median": 102.5, "q1": 96.25, "q3": 108.75}
+    assert m["median_change"] == pytest.approx(122.5 / 102.5 - 1.0)
+    # a rise is a gain for this metric
+    assert m["median_gain_over_parent_iqr"] == pytest.approx(20.0 / 12.5)
+
+
+def test_summarize_worse_change_and_flat_parent():
+    m = bench_pairs.summarize(_pairs([1.0, 1.0, 1.0], [2.0, 2.0, 0.5], "x"),
+                              {})["x"]
+    assert m["better"] == "lower"  # the default
+    assert m["change_wins"] == 1
+    assert m["median_change"] == pytest.approx(1.0)
+    assert m["median_gain_over_parent_iqr"] is None  # zero parent IQR
+    one = bench_pairs.summarize(_pairs([3.0], [2.0], "x"), {})["x"]
+    assert one["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+    assert one["change_wins"] == 1

@@ -74,8 +74,20 @@ def _with_source(**fields):
     ({"task": "saddle", "trials": 0, "seed": 1}, "run", "'trials'"),
     ({"task": "asymptotic", "betas": "abc"}, "run", "'betas'"),
     ({}, "sweep", "'--values'"),
+    ({"grid": [1]}, "run", "'grid'"),
+    ({"task": "deviate", "trials": 10_000, "seed": 1, "p_values": "x"}, "run",
+     "'p_values'"),
+    ({"task": "deviate", "trials": 10_000, "seed": 1, "p_values": [2.0]}, "run",
+     "'p_values'"),
+    ({"task": "worst_noise", "seed": 1, "mixture_components": 0}, "run",
+     "'mixture_components'"),
+    ({"task": "asymptotic", "betas": [-1.0]}, "run", "'betas'"),
+    ({"task": "asymptotic", "betas": [1.0, 2.0], "direction": "high_csnr"},
+     "run", "'betas'"),
 ], ids=["family", "list-spec", "variance", "seed", "order", "num-points",
-        "trials", "betas", "sweep-values"])
+        "trials", "betas", "sweep-values", "grid", "p-values-type",
+        "p-values-range", "mixture-components", "betas-sign",
+        "betas-order"])
 def test_malformed_field_is_a_config_error(tmp_path, capsys, overrides,
                                            command, field):
     if isinstance(overrides, dict):

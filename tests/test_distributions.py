@@ -1,9 +1,13 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import jamlab as jl
+from jamlab.distributions import _InverseCdf
 from jamlab.errors import MomentOverflow, NonZeroMean
+from jamlab.matching import JammingGameConfig, synthesize_jammer
 
 FAMILIES = {
     "gaussian": jl.gaussian,
@@ -162,6 +166,94 @@ def test_tabulated_sampling():
     assert s.var() == pytest.approx(1.0, rel=0.02)
     assert np.mean(np.abs(s) < 0.2) == pytest.approx(
         d.cdf_at(0.2) - d.cdf_at(-0.2), abs=0.01)
+
+
+def _interp_reference(grid, table):
+    """The CDF and edges that tabulated sampling inverted with np.interp."""
+    cdf = np.cumsum(table) * grid.dx
+    cdf = cdf / cdf[-1]
+    return cdf, grid.x + grid.dx / 2
+
+
+def _probes(cdf, bins):
+    """0, the largest double below 1, every CDF node with both neighbours,
+    the guide's bin edges near the nodes, and seeded uniforms."""
+    near = np.concatenate([cdf, np.floor(cdf * bins) / bins])
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], near,
+                        np.nextafter(near, 0.0), np.nextafter(near, 1.0),
+                        np.random.default_rng(5).random(20_000)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _assert_draws_equal_interp(grid, table):
+    cdf, edges = _interp_reference(grid, table)
+    u = _probes(cdf, 8 * grid.num_points)
+    got = _InverseCdf(grid, table)(u.copy())
+    want = np.interp(u, cdf, edges)
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, (u[bad[:5]], got[bad[:5]], want[bad[:5]])
+
+
+@lru_cache(maxsize=None)
+def _matched_jammer(family):
+    make = FAMILIES[family]
+    result = synthesize_jammer(JammingGameConfig(make(1.0), make(1.0), 1.0, 1.0))
+    assert result.matched, result.reason
+    return result.jammer_density
+
+
+@st.composite
+def _run_tables(draw):
+    """Tables of runs: zero stretches, ordinary cells, and subnormal cells
+    whose CDF steps are too thin for a finite slope."""
+    n = draw(st.sampled_from([64, 128]))
+    level = st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
+                      st.floats(5e-324, 1e-300))
+    runs = draw(st.lists(st.tuples(level, st.integers(1, 40)),
+                         min_size=1, max_size=12))
+    table = np.concatenate([np.full(k, v) for v, k in runs] + [np.zeros(n)])[:n]
+    table[draw(st.integers(0, n - 1))] += draw(st.floats(1e-3, 1e3))
+    return jl.GridSpec(half_width=draw(st.floats(0.5, 20.0)), num_points=n), table
+
+
+@given(_run_tables())
+@settings(max_examples=100, deadline=None)
+def test_inverse_cdf_equals_interp_on_run_tables(case):
+    _assert_draws_equal_interp(*case)
+
+
+@pytest.mark.parametrize("cells", [[0], [31], [63], [20, 43], [0, 63]])
+def test_inverse_cdf_equals_interp_on_atoms(cells):
+    # one nonzero cell, or two atoms, with zero runs between
+    g = jl.GridSpec(half_width=3.0, num_points=64)
+    table = np.zeros(64)
+    table[cells] = 1.0 / (len(cells) * g.dx)
+    _assert_draws_equal_interp(g, table)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_inverse_cdf_equals_interp_on_matched_jammers(family):
+    d = _matched_jammer(family)
+    _assert_draws_equal_interp(d.grid, d.table)
+
+
+def test_tabulated_sample_equals_interp_of_uniforms():
+    d = _matched_jammer("laplace")
+    cdf, edges = _interp_reference(d.grid, d.table)
+    want = np.interp(np.random.default_rng(3).random(100_000), cdf, edges)
+    for _ in range(2):  # the second call reuses the cached sampler
+        got = d.sample(np.random.default_rng(3), 100_000)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_inverse_cdf_is_built_on_first_draw():
+    d = jl.laplace(1.0)
+    g = jl.default_grid(d)
+    tab = jl.tabulated(g, d.pdf_on(g))
+    assert "_inverse_cdf" not in vars(tab)
+    tab.sample(np.random.default_rng(0), 10)
+    assert "_inverse_cdf" in vars(tab)
+    assert "_inverse_cdf" not in vars(tab.scaled(2.0))
 
 
 @given(st.sampled_from(sorted(FAMILIES)), variances(), st.floats(0.5, 2.0))

@@ -67,6 +67,17 @@ def test_curve_and_per_sign_mmse_results_pinned():
     assert out.std_error == pytest.approx(0.0033423882007886816, rel=1e-12)
 
 
+def test_tabulated_jammer_result_pinned():
+    # recorded when tabulated draws inverted the jammer's CDF with
+    # np.interp; the guide-table inverse CDF must keep these bits
+    cfg = JammingGameConfig(jl.laplace(1.0), jl.laplace(1.0), 1.0, 1.0)
+    rep = verify_rhs_inequality(cfg, 100_000, seed=23,
+                                encoders=companding_encoders(cfg)[:1])
+    out = rep.entries[0].outcome
+    assert out.empirical_cost == 0.6670343280896932
+    assert out.std_error == 0.0039424648503722
+
+
 def test_trial_floor_enforced():
     with pytest.raises(ValueError):
         simulate(UNIT_CFG, saddle_profile(UNIT_CFG), 5_000, seed=1)
