@@ -24,15 +24,14 @@ from .matching import (JammingGameConfig, MatchingResult,
                        asymptotic_gaussianization, gaussian_source_limit_check,
                        identical_distribution_check, synthesize_jammer)
 from .polyexpand import (ExpansionCoefficients, GaussianMixtureFamily,
-                         GramCharlierFamily, GridTableFamily, NoiseSearchResult,
-                         OrthoPolyBasis, build_basis, expansion_coeffs,
-                         mmse_via_expansion, noise_from_estimator,
-                         worst_noise_search)
+                         GridTableFamily, NoiseSearchResult, OrthoPolyBasis,
+                         build_basis, expansion_coeffs, mmse_via_expansion,
+                         noise_from_estimator, worst_noise_search)
 
 __all__ = [
     "CharacteristicFunction", "DistributionModel", "EstimatorCurve",
-    "ExpansionCoefficients", "GaussianMixtureFamily", "GramCharlierFamily",
-    "GridSpec", "GridTableFamily", "JammingGameConfig", "MatchingResult", "NoiseSearchResult",
+    "ExpansionCoefficients", "GaussianMixtureFamily", "GridSpec",
+    "GridTableFamily", "JammingGameConfig", "MatchingResult", "NoiseSearchResult",
     "OrthoPolyBasis", "SaddleOutcome", "StrategyProfile",
     "asymptotic_gaussianization", "bernoulli_exploit_check", "build_basis",
     "cf_divide", "cf_multiply", "cf_of", "cf_power", "check_validity",

@@ -24,7 +24,7 @@ from . import __version__
 from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, laplace, rademacher_scaled,
                             tabulated, uniform)
-from .errors import ConfigError, JamlabError
+from .errors import ConfigError, IllConditioned, JamlabError
 from .estimation import mmse_estimator, output_density
 from .gamesim import (MIN_TRIALS, CorrelatedJammer, bernoulli_exploit_check,
                       saddle_profile, simulate, verify_lhs_inequality,
@@ -145,12 +145,13 @@ def load_spec(path: str | Path) -> dict:
 
 def _grid_from(spec: dict, cfg: JammingGameConfig) -> GridSpec | None:
     g = _grid_field(spec)
-    points = _num(g.get("num_points") or 4096, "grid.num_points", int)
-    if g.get("half_width"):
-        return GridSpec(_num(g["half_width"], "grid.half_width"), points)
-    if points != 4096:
-        return cfg.grid_for(num_points=points)
-    return None
+    points = _num(g.get("num_points", 4096), "grid.num_points", int)
+    try:
+        if "half_width" in g:
+            return GridSpec(_num(g["half_width"], "grid.half_width"), points)
+        return None if points == 4096 else cfg.grid_for(num_points=points)
+    except ValueError as exc:  # GridSpec's message names the field at fault
+        raise ConfigError(f"field 'grid': {exc}") from None
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
@@ -244,6 +245,8 @@ def _task_deviate(spec, cfg, grid, out_dir, strict_paper):
     trials = _trials(spec)
     seed = _num(spec["seed"], "seed", int)
     rho = _num(spec.get("rho", 0.7), "rho")
+    if not -1.0 <= rho <= 1.0:
+        raise ConfigError(f"field 'rho' must lie in [-1, 1], got {rho}")
     p_values = _numbers(spec.get("p_values", [0.5, 1.0]), "p_values")
     if not all(0.0 <= p <= 1.0 for p in p_values):
         raise ConfigError(f"field 'p_values' must lie in [0, 1], got {p_values}")
@@ -274,8 +277,11 @@ def _task_mmse(spec, cfg, grid, out_dir, strict_paper):
     g = grid or default_grid(cfg.source, cfg.channel_noise)
     curve = mmse_estimator(cfg.source, cfg.channel_noise, g)
     fu = tabulated(g, output_density(cfg.source, cfg.channel_noise, g))
-    coeffs = expansion_coeffs(cfg.source, cfg.channel_noise,
-                              build_basis(fu, order))
+    try:
+        basis = build_basis(fu, order)
+    except (ValueError, IllConditioned) as exc:
+        raise ConfigError(f"field 'order' = {order}: {exc}") from None
+    coeffs = expansion_coeffs(cfg.source, cfg.channel_noise, basis)
     outputs = {
         "mmse": curve.mmse,
         "linearity_residual": curve.linearity_residual,
@@ -355,11 +361,11 @@ def run(spec: dict, out_dir: Path, strict_paper: bool = False,
     """Execute a validated spec; writes the manifest and artifacts."""
     if seed is not None:
         spec = {**spec, "seed": seed}
-    if grid_points or half_width:
+    if grid_points is not None or half_width is not None:
         g = dict(_grid_field(spec))
-        if grid_points:
+        if grid_points is not None:
             g["num_points"] = grid_points
-        if half_width:
+        if half_width is not None:
             g["half_width"] = half_width
         spec = {**spec, "grid": g}
     cfg = build_game(spec["game"], Path(spec.get("__dir__", ".")))

@@ -35,6 +35,8 @@ _MOMENT_ORDER_CAP = 24  # higher-order moment Hankel matrices are singular in fl
 _MEAN_RTOL = 1e-9
 _GUIDE_BINS_PER_POINT = 8  # a power of two, so the guide's bin edges b/m are exact
 _INVERSION_BLOCK = 8192  # draws inverted at a time: 64 KB temporaries stay in cache
+_GRID_TAIL_MASS = 1e-12  # mass each model may leave outside the default grid
+_GRID_SIGMAS = 12.0      # least default-grid half-width, in the widest model's sigmas
 
 
 def _gauss_cdf(x, var):
@@ -465,19 +467,18 @@ def moments(dist: DistributionModel, up_to: int) -> np.ndarray:
 # -- grid selection --------------------------------------------------------------
 
 
-def default_grid(*models: DistributionModel, num_points: int = 4096,
-                 tail_target: float = 1e-12, sigma_factor: float = 12.0) -> GridSpec:
+def default_grid(*models: DistributionModel, num_points: int = 4096) -> GridSpec:
     """Grid wide enough for every model in play.
 
-    Half-width is the larger of ``sigma_factor * max(sigma)`` and each model's
-    tail-mass requirement (heavy-tailed families need more than 12 sigma to
+    Half-width is the larger of 12 * max(sigma) and each model's half-width
+    for tail mass 1e-12 (heavy-tailed families need more than 12 sigma to
     reach the 1e-10 construction gate).  If a Rademacher model is present the
     width is nudged so its atoms land exactly on grid points.
     """
     if not models:
         raise ValueError("at least one model required")
-    L = max(sigma_factor * max(m.sigma for m in models),
-            max(m.required_half_width(tail_target) for m in models))
+    L = max(_GRID_SIGMAS * max(m.sigma for m in models),
+            max(m.required_half_width(_GRID_TAIL_MASS) for m in models))
     rad = [m for m in models if m.kind == RADEMACHER]
     if rad:
         s = max(m.sigma for m in rad)

@@ -22,6 +22,8 @@ from .errors import GridTooNarrow
 from .grids import GridSpec
 
 _DENSITY_FLOOR = 1e-12  # below this, h is extended by its nearest computed value
+_LINEARITY_TOL = 1e-4   # linearity residual a matched source's estimator stays below
+_QUADRATURE_ROWS = 256  # source points per block of the direct distortion integral
 
 
 @dataclass(frozen=True)
@@ -126,15 +128,13 @@ class MatchedSourceResult:
 
 
 def matched_source_check(noise: DistributionModel, kappa: float,
-                         grid: GridSpec | None = None,
-                         residual_tol: float = 1e-4) -> MatchedSourceResult:
+                         grid: GridSpec | None = None) -> MatchedSourceResult:
     """Try to build the source whose optimal estimator against ``noise`` is
     linear with gain kappa/(kappa+1).
 
     The candidate has CF equal to the noise CF raised to the SNR kappa; it
     exists iff that power passes the validity battery.  On success the
-    estimator evidence (linearity residual below ``residual_tol``) is
-    attached.
+    estimator evidence (linearity residual below 1e-4) is attached.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -145,16 +145,15 @@ def matched_source_check(noise: DistributionModel, kappa: float,
         return MatchedSourceResult(False, powered.reason, None, None)
     source = density_from_cf(powered)
     curve = mmse_estimator(source, noise, grid)
-    if curve.linearity_residual >= residual_tol:
+    if curve.linearity_residual >= _LINEARITY_TOL:
         return MatchedSourceResult(
             False, f"estimator residual {curve.linearity_residual:.3g} "
-                   f"not below {residual_tol:g}", source, curve)
+                   f"not below {_LINEARITY_TOL:g}", source, curve)
     return MatchedSourceResult(True, "", source, curve)
 
 
 def distortion_of(source: DistributionModel, noise: DistributionModel,
-                  estimator, grid: GridSpec | None = None,
-                  chunk: int = 256) -> float:
+                  estimator, grid: GridSpec | None = None) -> float:
     """E[(X - h(X+Z))^2] by direct two-dimensional quadrature.
 
     ``estimator`` is an :class:`EstimatorCurve` or a plain linear gain.  Grid
@@ -180,8 +179,8 @@ def distortion_of(source: DistributionModel, noise: DistributionModel,
     fz = noise.pdf_on(grid)
     total = 0.0
     j = np.arange(n)
-    for i0 in range(0, n, chunk):
-        i = np.arange(i0, min(i0 + chunk, n))
+    for i0 in range(0, n, _QUADRATURE_ROWS):
+        i = np.arange(i0, min(i0 + _QUADRATURE_ROWS, n))
         keep = fx[i] > 0
         i = i[keep]
         if len(i) == 0:

@@ -29,6 +29,7 @@ from .grids import GridSpec
 from .matching import JammingGameConfig, synthesize_jammer
 
 _CHUNK = 1 << 16
+_DECODER_POINTS = 4096  # u-grid points of an encoder's conditional-mean decoder
 MIN_TRIALS = 10_000
 _POWER_RTOL = 1e-3
 _STREAM_X, _STREAM_GAMMA, _STREAM_Z, _STREAM_N = 0, 1, 2, 3
@@ -232,23 +233,23 @@ def _per_sign_mmse_tables(cfg: JammingGameConfig, jam) -> CurveDecoder | dict:
 
 
 def mmse_decoder_for_encoder(cfg: JammingGameConfig, enc: DeterministicEncoder,
-                             jammer_model: DistributionModel,
-                             num_points: int = 4096) -> CurveDecoder:
+                             jammer_model: DistributionModel) -> CurveDecoder:
     """Conditional-mean decoder h(u) = E[X | g(X) + Z + N = u] by direct
     quadrature over the source grid."""
     x_grid = enc.grid
     fx = cfg.source.pdf_on(x_grid)
-    w_grid = default_grid(jammer_model, cfg.channel_noise, num_points=num_points)
+    w_grid = default_grid(jammer_model, cfg.channel_noise,
+                          num_points=_DECODER_POINTS)
     fw = convolve_tables(jammer_model.pdf_on(w_grid),
                          cfg.channel_noise.pdf_on(w_grid), w_grid)
     x_eff = cfg.source.required_half_width(1e-10)
     live = np.abs(x_grid.x) <= x_eff
     xs, fxs, gxs = x_grid.x[live], fx[live], enc.values[live]
     L_u = float(np.max(np.abs(gxs))) + w_grid.half_width
-    u_grid = GridSpec(L_u, num_points)
-    h = np.zeros(num_points)
-    den_all = np.zeros(num_points)
-    for i0 in range(0, num_points, 256):
+    u_grid = GridSpec(L_u, _DECODER_POINTS)
+    h = np.zeros(_DECODER_POINTS)
+    den_all = np.zeros(_DECODER_POINTS)
+    for i0 in range(0, _DECODER_POINTS, 256):
         u = u_grid.x[i0:i0 + 256, None]
         k = np.interp(u - gxs[None, :], w_grid.x, fw, left=0.0, right=0.0)
         den = k @ fxs * x_grid.dx

@@ -106,9 +106,7 @@ class MatchingResult:
 
 
 def synthesize_jammer(cfg: JammingGameConfig, grid: GridSpec | None = None,
-                      *, strict: bool = False,
-                      power_floor: float | None = None,
-                      division_floor: float | None = None) -> MatchingResult:
+                      *, strict: bool = False) -> MatchingResult:
     """Build the matching jammer CF and decide whether it is a genuine CF.
 
     Computes F_X(alpha_t * omega) ** beta / F_N(omega) with branch-tracked
@@ -116,7 +114,7 @@ def synthesize_jammer(cfg: JammingGameConfig, grid: GridSpec | None = None,
     means the quotient is a usable CF; the non-matching verdict is a finding,
     not an error.
 
-    Floors default by provenance: closed-form inputs carry relative (not
+    Floors follow provenance: closed-form inputs carry relative (not
     absolute) error, so their sub-floor truncation can sit at the edge of
     float64 range, where the quotient's own decay has already killed the
     truncation jump.  Shallow floors (1e-12 / 1e-8) on fast-decaying closed
@@ -126,10 +124,8 @@ def synthesize_jammer(cfg: JammingGameConfig, grid: GridSpec | None = None,
     """
     if grid is None:
         grid = cfg.grid_for()
-    if power_floor is None:
-        power_floor = 1e-12 if cfg.source.kind == "tabulated" else 1e-250
-    if division_floor is None:
-        division_floor = 1e-8 if cfg.channel_noise.kind == "tabulated" else 1e-250
+    power_floor = 1e-12 if cfg.source.kind == "tabulated" else 1e-250
+    division_floor = 1e-8 if cfg.channel_noise.kind == "tabulated" else 1e-250
     scaled_source = cfg.source.scaled(cfg.alpha_t)
     numerator = cf_power(cf_of(scaled_source, grid), cfg.beta,
                          floor=power_floor, strict=strict)

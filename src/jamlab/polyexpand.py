@@ -19,7 +19,7 @@ the Bayes ratio are linear in the noise table, so E[h^2] = sum num^2/den is a
 sum of quadratic-over-linear terms.  Mass, mean and power are linear
 constraints, and under them c_0 and c_1 are constants up to grid truncation.
 ``GridTableFamily`` searches this convex problem directly, so the matching
-noise is reachable whenever it exists; the parametric families can only
+noise is reachable whenever it exists; ``GaussianMixtureFamily`` can only
 approximate it.
 """
 
@@ -44,6 +44,8 @@ from .grids import GridSpec
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
 _HANKEL_COND_LIMIT = 1e12
 _ODE_ORDER_CAP = 4
+_CF_RATIO_FLOOR = 1e-6   # recovered noise CF is cut where |F_X| falls below this
+_MARCH_BOUND = 10.0      # |G| beyond this means the marched solution diverged
 
 _BARRIER_SCHEDULE = (1e-6, 1e-7, 1e-8)  # barrier parameters of the table search
 _BARRIER_FLOOR = 1e-6    # barrier weight floor, relative to the start's peak
@@ -144,13 +146,12 @@ class ExpansionCoefficients:
     """Coefficients of h in the orthonormal basis, with the implied MMSE.
 
     ``mmse_poly`` is the table second moment of the source minus the
-    coefficient energy up to ``tail_bound_order``; it upper-bounds the true
-    MMSE and is non-increasing in the order.
+    coefficient energy up to the basis order; it upper-bounds the true MMSE
+    and is non-increasing in the order.
     """
 
     c: np.ndarray
     mmse_poly: float
-    tail_bound_order: int
 
     def __post_init__(self):
         a = np.asarray(self.c, dtype=float).copy()
@@ -173,8 +174,7 @@ def expansion_coeffs(source: DistributionModel, noise: DistributionModel,
     w = fu * grid.dx
     c = basis.values @ (curve.values * w)
     var_table = float(np.sum(grid.x**2 * source.pdf_on(grid)) * grid.dx)
-    return ExpansionCoefficients(c=c, mmse_poly=var_table - float(c @ c),
-                                 tail_bound_order=basis.order)
+    return ExpansionCoefficients(c=c, mmse_poly=var_table - float(c @ c))
 
 
 def mmse_via_expansion(source: DistributionModel, noise: DistributionModel,
@@ -197,21 +197,13 @@ class GaussianMixtureFamily:
     """Zero-mean k-component Gaussian mixture; 3k-1 free parameters."""
     k: int = 3
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"mixture needs k >= 1 components, got k={self.k}")
+
     @property
     def parameter_count(self) -> int:
         return 3 * self.k - 1
-
-
-@dataclass(frozen=True)
-class GramCharlierFamily:
-    """Gaussian modulated by a Hermite polynomial with coefficients of degree
-    3..order.  Truncation can push the density negative; negative iterates are
-    clipped to zero, renormalized, and the clip magnitude is reported."""
-    order: int = 6
-
-    @property
-    def parameter_count(self) -> int:
-        return self.order - 2
 
 
 @dataclass(frozen=True)
@@ -232,7 +224,6 @@ class NoiseSearchResult:
     mmse_attained: float
     iterations: int
     converged: bool
-    clip_magnitude: float = 0.0
 
 
 def _unpack_mixture(params: np.ndarray, k: int, budget: float, sigma_floor: float):
@@ -261,54 +252,6 @@ def _mixture_table(wts, mu, sg, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _hermite_value(m: int, t: np.ndarray) -> np.ndarray:
-    h0, h1 = np.ones_like(t), t.copy()
-    if m == 0:
-        return h0
-    for k in range(1, m):
-        h0, h1 = h1, t * h1 - k * h0
-    return h1
-
-
-def _gram_charlier_table(params, order: int, budget: float, grid: GridSpec):
-    """Clipped, renormalized, affinely re-projected polynomial-modulated
-    Gaussian; returns (table, clip magnitude) or None when degenerate."""
-    s = math.sqrt(budget)
-    t = grid.x / s
-    base = np.exp(-t**2 / 2) / math.sqrt(2 * math.pi * budget)
-    poly = np.ones_like(t)
-    for j, m in enumerate(range(3, order + 1)):
-        poly = poly + params[j] * _hermite_value(m, t) / math.sqrt(math.factorial(m))
-    f = base * poly
-    clip = float(max(0.0, -f.min()))
-    f = np.clip(f, 0.0, None)
-    total = f.sum() * grid.dx
-    if total < 0.5:
-        return None
-    f = f / total
-    for _ in range(2):  # affine re-projection to zero mean / budget variance
-        mean = float(np.sum(grid.x * f) * grid.dx)
-        var = float(np.sum((grid.x - mean)**2 * f) * grid.dx)
-        if var <= 0:
-            return None
-        r = math.sqrt(var / budget)
-        f = np.interp(mean + grid.x * r, grid.x, f, left=0.0, right=0.0) * r
-        total = f.sum() * grid.dx
-        if total < 0.5:
-            return None
-        f = f / total
-    return f, clip
-
-
-def _family_table(family, params, budget: float, grid: GridSpec):
-    """(noise table, clip magnitude) of a parametric family's parameter
-    vector, or None when the vector gives no usable density."""
-    if isinstance(family, GaussianMixtureFamily):
-        got = _unpack_mixture(params, family.k, budget, 2.0 * grid.dx)
-        return None if got is None else (_mixture_table(*got, grid), 0.0)
-    return _gram_charlier_table(params, family.order, budget, grid)
-
-
 class _TableEnergy:
     """E[h^2] = sum num^2/den dx as a function of the noise table f_Z.
 
@@ -318,7 +261,7 @@ class _TableEnergy:
     costs one real FFT pair.  Output points where den is below the density
     floor drop out, as in the Bayes ratio.
 
-    ``tail`` scores any noise table, the parametric families' included, on
+    ``tail`` scores any noise table, the mixture family's included, on
     the same spectra.  It multiplies kernel spectrum first, the operand
     order of ``fftconvolve``; complex multiplication in numpy is not
     bitwise commutative, and this order returns the same bits as the Bayes
@@ -497,7 +440,7 @@ def _grid_table_search(objective: _TableEnergy, budget: float, grid: GridSpec):
 
 
 def _check_family(family) -> None:
-    if not isinstance(family, (GaussianMixtureFamily, GramCharlierFamily, GridTableFamily)):
+    if not isinstance(family, (GaussianMixtureFamily, GridTableFamily)):
         raise ValueError(f"unknown family {family!r}")
 
 
@@ -518,8 +461,8 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
                        restarts: int = 5, maxfev: int = 2000) -> NoiseSearchResult:
     """Search for the MMSE-maximizing noise at fixed power.
 
-    Parametric families: Nelder-Mead simplex with jittered restarts; every
-    iterate is projected to zero mean and the exact variance budget.
+    ``GaussianMixtureFamily``: Nelder-Mead simplex with jittered restarts;
+    every iterate is projected to zero mean and the exact variance budget.
     ``GridTableFamily``: the convex problem over density tables, solved by
     ``_grid_table_search``; ``iterations`` then counts its Newton steps.  The
     objective is the full nonlinear coefficient energy of the induced optimal
@@ -541,14 +484,13 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
         return NoiseSearchResult(noise=tabulated(grid, fz), objective=tail,
                                  mmse_attained=mmse, iterations=steps,
                                  converged=converged)
-    clip_seen = [0.0]
+    sigma_floor = 2.0 * grid.dx
 
     def objective(params):
-        got = _family_table(family, params, noise_budget, grid)
+        got = _unpack_mixture(params, family.k, noise_budget, sigma_floor)
         if got is None:
             return float("inf")
-        clip_seen[0] = max(clip_seen[0], got[1])
-        return energy.tail(got[0])[0]
+        return energy.tail(_mixture_table(*got, grid))[0]
 
     rng = np.random.default_rng(seed)
     best = best_x = None
@@ -565,16 +507,11 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     if best is None or not np.isfinite(best):
         raise InfeasibleFamily("no parameter vector produced a usable density")
 
-    fz_best = _family_table(family, best_x, noise_budget, grid)[0]
-    tail, mmse = energy.tail(fz_best)
-    if isinstance(family, GaussianMixtureFamily):
-        noise = gaussian_mixture(*_unpack_mixture(best_x, family.k, noise_budget,
-                                                  2.0 * grid.dx))
-    else:
-        noise = tabulated(grid, fz_best)
-    return NoiseSearchResult(noise=noise, objective=tail, mmse_attained=mmse,
-                             iterations=total_evals, converged=converged,
-                             clip_magnitude=clip_seen[0])
+    components = _unpack_mixture(best_x, family.k, noise_budget, sigma_floor)
+    tail, mmse = energy.tail(_mixture_table(*components, grid))
+    return NoiseSearchResult(noise=gaussian_mixture(*components), objective=tail,
+                             mmse_attained=mmse, iterations=total_evals,
+                             converged=converged)
 
 
 def probe_family(source: DistributionModel, noise_budget: float,
@@ -588,9 +525,10 @@ def probe_family(source: DistributionModel, noise_budget: float,
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_probes):
-        got = _family_table(family, rng.normal(0.0, 0.7, family.parameter_count),
-                            noise_budget, grid)
-        out.append(float("inf") if got is None else energy.tail(got[0])[0])
+        got = _unpack_mixture(rng.normal(0.0, 0.7, family.parameter_count),
+                              family.k, noise_budget, 2.0 * grid.dx)
+        out.append(float("inf") if got is None
+                   else energy.tail(_mixture_table(*got, grid))[0])
     return np.array(out)
 
 
@@ -604,9 +542,7 @@ def _cf_derivative_values(dist: DistributionModel, grid: GridSpec) -> np.ndarray
 
 
 def noise_from_estimator(source: DistributionModel, estimator_coeffs,
-                         grid: GridSpec | None = None, *,
-                         ratio_floor: float = 1e-6,
-                         blowup: float = 10.0):
+                         grid: GridSpec | None = None):
     """Recover the noise CF consistent with a polynomial conditional mean.
 
     A degree-M estimator h(u) = sum b_m u^m forces the product G = F_X * F_Z
@@ -618,9 +554,9 @@ def noise_from_estimator(source: DistributionModel, estimator_coeffs,
     the differentiated identity at zero.  Returns the validity-tagged noise
     CF and the finite-difference sup residual of the identity.
 
-    The recovered CF is truncated where |F_X| < ratio_floor: beyond that the
+    The recovered CF is truncated where |F_X| < 1e-6: beyond that the
     division amplifies integration error without bound.  Solutions exceeding
-    |G| > ``blowup`` raise ``UnstableIntegration``.
+    |G| > 10 raise ``UnstableIntegration``.
     """
     from scipy.integrate import solve_ivp
 
@@ -644,7 +580,7 @@ def noise_from_estimator(source: DistributionModel, estimator_coeffs,
     wpos = grid.omega[n // 2:]
     half_fx = fx_vals[n // 2:]
     half_dfx = dfx_vals[n // 2:]
-    alive = np.abs(half_fx) >= ratio_floor
+    alive = np.abs(half_fx) >= _CF_RATIO_FLOOR
     cut = int(np.argmin(alive)) if not alive.all() else len(wpos)
     w_end = wpos[cut - 1]
 
@@ -682,9 +618,9 @@ def noise_from_estimator(source: DistributionModel, estimator_coeffs,
         raise UnstableIntegration(f"marching failed: {sol.message}")
     g_half = np.zeros(len(wpos), dtype=complex)
     g_half[:cut] = sol.y[0] + 1j * sol.y[order]
-    if not np.all(np.isfinite(g_half)) or float(np.max(np.abs(g_half))) > blowup:
+    if not np.all(np.isfinite(g_half)) or float(np.max(np.abs(g_half))) > _MARCH_BOUND:
         raise UnstableIntegration("marched solution left |G| <= "
-                                  f"{blowup:g}")
+                                  f"{_MARCH_BOUND:g}")
 
     fz_half = np.zeros(len(wpos), dtype=complex)
     fz_half[:cut] = g_half[:cut] / half_fx[:cut]

@@ -84,10 +84,18 @@ def _with_source(**fields):
     ({"task": "asymptotic", "betas": [-1.0]}, "run", "'betas'"),
     ({"task": "asymptotic", "betas": [1.0, 2.0], "direction": "high_csnr"},
      "run", "'betas'"),
+    ({"grid": {"num_points": 100}}, "run", "num_points must be"),
+    ({"grid": {"half_width": -3}}, "run", "half_width must be"),
+    ({"grid": {"half_width": 0, "num_points": 0}}, "run", "'grid'"),
+    ({"task": "deviate", "trials": 10_000, "seed": 1, "rho": 2}, "run", "'rho'"),
+    ({"task": "mmse", "order": 40}, "run", "'order'"),
+    ({"task": "mmse", "order": 12}, "run", "'order'"),
+    ({}, "run --grid-points 0", "num_points must be"),
 ], ids=["family", "list-spec", "variance", "seed", "order", "num-points",
         "trials", "betas", "sweep-values", "grid", "p-values-type",
         "p-values-range", "mixture-components", "betas-sign",
-        "betas-order"])
+        "betas-order", "num-points-range", "half-width-sign", "grid-zeros",
+        "rho-range", "order-range", "order-ill-conditioned", "grid-points-flag"])
 def test_malformed_field_is_a_config_error(tmp_path, capsys, overrides,
                                            command, field):
     if isinstance(overrides, dict):
@@ -95,7 +103,8 @@ def test_malformed_field_is_a_config_error(tmp_path, capsys, overrides,
     else:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(overrides))
-    argv = [command, str(path), "--out", str(tmp_path / "r")]
+    command, *flags = command.split()
+    argv = [command, str(path), "--out", str(tmp_path / "r"), *flags]
     if command == "sweep":
         argv += ["--param", "power_jam", "--values", "1,abc"]
     assert main(argv) == 1
