@@ -179,12 +179,7 @@ def _manifest(spec: dict, cfg: JammingGameConfig, outputs: dict,
             "order": spec.get("order"),
             "betas": spec.get("betas"),
         },
-        "derived": {
-            "beta": cfg.beta,
-            "alpha_t": cfg.alpha_t,
-            "linear_bound": cfg.linear_bound,
-            "saddle_cost": cfg.saddle_cost,
-        },
+        "derived": _derived(cfg),
         "outputs": outputs,
         "environment": {
             "grid": None if grid is None else
@@ -195,11 +190,14 @@ def _manifest(spec: dict, cfg: JammingGameConfig, outputs: dict,
     }
 
 
-def derive_quantities(game: dict, base_dir: Path | None = None) -> dict:
-    """Recompute the manifest's derived block from its recorded inputs."""
-    cfg = build_game(game, Path(base_dir or "."))
+def _derived(cfg: JammingGameConfig) -> dict:
     return {"beta": cfg.beta, "alpha_t": cfg.alpha_t,
             "linear_bound": cfg.linear_bound, "saddle_cost": cfg.saddle_cost}
+
+
+def derive_quantities(game: dict, base_dir: Path | None = None) -> dict:
+    """Recompute the manifest's derived block from its recorded inputs."""
+    return _derived(build_game(game, Path(base_dir or ".")))
 
 
 # -- tasks --------------------------------------------------------------------
@@ -355,10 +353,9 @@ _TASK_FNS = {
 }
 
 
-def run(spec: dict, out_dir: Path, strict_paper: bool = False,
-        grid_points: int | None = None, half_width: float | None = None,
-        seed: int | None = None) -> int:
-    """Execute a validated spec; writes the manifest and artifacts."""
+def _overridden(spec: dict, grid_points: int | None, half_width: float | None,
+                seed: int | None) -> dict:
+    """The spec with the command line's seed and grid flags applied."""
     if seed is not None:
         spec = {**spec, "seed": seed}
     if grid_points is not None or half_width is not None:
@@ -368,6 +365,14 @@ def run(spec: dict, out_dir: Path, strict_paper: bool = False,
         if half_width is not None:
             g["half_width"] = half_width
         spec = {**spec, "grid": g}
+    return spec
+
+
+def run(spec: dict, out_dir: Path, strict_paper: bool = False,
+        grid_points: int | None = None, half_width: float | None = None,
+        seed: int | None = None) -> int:
+    """Execute a validated spec; writes the manifest and artifacts."""
+    spec = _overridden(spec, grid_points, half_width, seed)
     cfg = build_game(spec["game"], Path(spec.get("__dir__", ".")))
     grid = _grid_from(spec, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -486,8 +491,8 @@ def main(argv=None) -> int:
                   if v.strip()]
         if not values:
             raise ConfigError("--values is empty")
-        if args.seed is not None:
-            spec["seed"] = args.seed
+        spec = _overridden(spec, args.grid_points, args.grid_halfwidth,
+                           args.seed)
         return sweep(spec, args.param, values, Path(args.out),
                      strict_paper=args.strict_paper)
     except ConfigError as exc:

@@ -21,15 +21,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from .distributions import DistributionModel, default_grid, gaussian, laplace, uniform
 from .errors import InvalidProfile, PowerViolation
-from .estimation import _bayes_ratio, convolve_tables
+from .estimation import _floored_ratio, convolve_tables
 from .grids import GridSpec
 from .matching import JammingGameConfig, synthesize_jammer
 
 _CHUNK = 1 << 16
-_DECODER_POINTS = 4096  # u-grid points of an encoder's conditional-mean decoder
+_DECODER_POINTS = 4096  # u-grid points of a conditional-mean decoder
+_TAIL_MASS = 5e-11  # source mass per tail a conditional-mean decoder may leave out
 MIN_TRIALS = 10_000
 _POWER_RTOL = 1e-3
 _STREAM_X, _STREAM_GAMMA, _STREAM_Z, _STREAM_N = 0, 1, 2, 3
@@ -210,57 +212,54 @@ def _jammer_parts(cfg: JammingGameConfig, jam) -> tuple[float, DistributionModel
 # -- conditional-mean decoders --------------------------------------------------------
 
 
-def _per_sign_mmse_tables(cfg: JammingGameConfig, jam) -> CurveDecoder | dict:
+def _conditional_mean(cfg: JammingGameConfig, grid: GridSpec, phi: np.ndarray,
+                      jam) -> CurveDecoder:
+    """Decoder table h(u) = E[X | phi(X) + Z + N = u] for the jam signal Z.
+
+    ``phi`` is tabulated on the source grid ``grid``; Z's source-correlated
+    part joins it, so V = residual + N is independent of X.  Each source cell
+    deposits its mass f_X dx and first moment x f_X dx at phi(x) on the
+    u-grid with linear (cloud-in-cell) weights, and both deposits are
+    convolved with f_V: the direct quadrature sum_x f_V(u - phi(x)) x f_X dx
+    with f_V linear between u-grid nodes.  Only the outer cells holding the
+    last ``_TAIL_MASS`` of each tail are left out, so the u-grid spans every
+    cell that carries mass.
+    """
+    c, residual = _jammer_parts(cfg, jam)
+    noises = [cfg.channel_noise] + ([residual] if residual is not None else [])
+    mass = cfg.source.pdf_on(grid) * grid.dx
+    below = np.cumsum(mass)
+    live = (below > _TAIL_MASS) & (below[-1] - below + mass > _TAIL_MASS)
+    x, mass, at = grid.x[live], mass[live], (phi + c * grid.x)[live]
+    n = _DECODER_POINTS
+    u_grid = GridSpec(float(np.max(np.abs(at), initial=0.0))
+                      + default_grid(*noises).half_width, n)
+    fv = noises[0].pdf_on(u_grid)
+    for d in noises[1:]:
+        fv = convolve_tables(fv, d.pdf_on(u_grid), u_grid)
+    t = at / u_grid.dx + n // 2
+    j = np.floor(t).astype(np.intp)
+    idx = np.concatenate([j, j + 1])
+    w = np.concatenate([mass * (j + 1 - t), mass * (t - j)])
+    deposits = np.stack([np.bincount(idx, w * np.concatenate([x, x]), n),
+                         np.bincount(idx, w, n)])
+    num, den = fftconvolve(deposits, fv[None, :], axes=1)[:, n // 2: n // 2 + n]
+    return CurveDecoder(u_grid, _floored_ratio(num, den))
+
+
+def _per_sign_mmse_tables(cfg: JammingGameConfig, jam) -> dict:
     """Decoder tables h_gamma(u) = E[X | U = u, gamma] for the randomized
     linear encoder, one per shared sign."""
-    c, residual = _jammer_parts(cfg, jam)
-    parts = [cfg.channel_noise] + ([residual] if residual is not None else [])
-    widths = [cfg.source.scaled(abs(cfg.alpha_t + s * c) or 1.0) for s in (1, -1)]
-    grid = default_grid(*(widths + parts), num_points=4096)
-    fv = parts[0].pdf_on(grid)
-    if len(parts) > 1:
-        fv = convolve_tables(fv, parts[1].pdf_on(grid), grid)
-    tables = {}
-    for s in (1.0, -1.0):
-        a = s * cfg.alpha_t + c
-        if abs(a) < 1e-9:
-            tables[s] = CurveDecoder(grid, np.zeros(grid.num_points))
-            continue
-        f_ax = cfg.source.scaled(a).pdf_on(grid)
-        h, _ = _bayes_ratio(f_ax, fv, grid)
-        tables[s] = CurveDecoder(grid, h / a)
-    return tables
+    grid = default_grid(cfg.source)
+    return {s: _conditional_mean(cfg, grid, s * cfg.alpha_t * grid.x, jam)
+            for s in (1.0, -1.0)}
 
 
 def mmse_decoder_for_encoder(cfg: JammingGameConfig, enc: DeterministicEncoder,
                              jammer_model: DistributionModel) -> CurveDecoder:
-    """Conditional-mean decoder h(u) = E[X | g(X) + Z + N = u] by direct
-    quadrature over the source grid."""
-    x_grid = enc.grid
-    fx = cfg.source.pdf_on(x_grid)
-    w_grid = default_grid(jammer_model, cfg.channel_noise,
-                          num_points=_DECODER_POINTS)
-    fw = convolve_tables(jammer_model.pdf_on(w_grid),
-                         cfg.channel_noise.pdf_on(w_grid), w_grid)
-    x_eff = cfg.source.required_half_width(1e-10)
-    live = np.abs(x_grid.x) <= x_eff
-    xs, fxs, gxs = x_grid.x[live], fx[live], enc.values[live]
-    L_u = float(np.max(np.abs(gxs))) + w_grid.half_width
-    u_grid = GridSpec(L_u, _DECODER_POINTS)
-    h = np.zeros(_DECODER_POINTS)
-    den_all = np.zeros(_DECODER_POINTS)
-    for i0 in range(0, _DECODER_POINTS, 256):
-        u = u_grid.x[i0:i0 + 256, None]
-        k = np.interp(u - gxs[None, :], w_grid.x, fw, left=0.0, right=0.0)
-        den = k @ fxs * x_grid.dx
-        num = k @ (xs * fxs) * x_grid.dx
-        den_all[i0:i0 + 256] = den
-        ok = den > 1e-12
-        h[i0:i0 + 256] = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-    idx = np.nonzero(den_all > 1e-12)[0]
-    h[:idx[0]] = h[idx[0]]
-    h[idx[-1] + 1:] = h[idx[-1]]
-    return CurveDecoder(u_grid, h)
+    """Conditional-mean decoder h(u) = E[X | g(X) + Z + N = u]."""
+    return _conditional_mean(cfg, enc.grid, enc.values,
+                             IndependentNoise(jammer_model))
 
 
 # -- simulation core -------------------------------------------------------------------
@@ -288,13 +287,8 @@ def simulate(cfg: JammingGameConfig, profile: StrategyProfile, trials: int,
     enc, jam, dec = profile.encoder, profile.jammer, profile.decoder
     randomized = isinstance(enc, RandomizedLinear)
     if isinstance(dec, MmseGivenProfile):
-        if randomized:
-            tables = _per_sign_mmse_tables(cfg, jam)
-        elif isinstance(jam, IndependentNoise):
-            tables = mmse_decoder_for_encoder(cfg, enc, jam.model)
-        else:
-            raise InvalidProfile("conditional-mean decoding of a correlated "
-                                 "jammer needs the randomized encoder")
+        tables = _per_sign_mmse_tables(cfg, jam) if randomized \
+            else _conditional_mean(cfg, enc.grid, enc.values, jam)
     c_coef, residual = _jammer_parts(cfg, jam)
 
     nchunks = (trials + _CHUNK - 1) // _CHUNK

@@ -61,11 +61,6 @@ class GridSpec:
         offset = np.clip(x, self.x[0], self.x[-1]) - self.x.take(i)
         return values.take(i) + slope.take(i) * offset
 
-    @property
-    def omega_max(self) -> float:
-        """Largest representable frequency magnitude."""
-        return (self.num_points // 2) * self.domega
-
     def __eq__(self, other):
         if not isinstance(other, GridSpec):
             return NotImplemented

@@ -427,6 +427,19 @@ def test_sweep_csv_reruns_identical(tmp_path):
         (out_b / "unit-gauss_sweep_power_jam.csv").read_bytes()
 
 
+def test_sweep_applies_grid_flags_to_every_run(tmp_path):
+    path = write_spec(tmp_path)
+    out = tmp_path / "results"
+    assert main(["sweep", str(path), "--param", "power_jam", "--values", "1,2",
+                 "--grid-points", "2048", "--grid-halfwidth", "30",
+                 "--out", str(out)]) == 0
+    for v in ("1", "2"):
+        manifest = json.loads(
+            (out / f"unit-gauss_power_jam_{v}_result.json").read_text())
+        assert manifest["environment"]["grid"] == {"half_width": 30.0,
+                                                   "num_points": 2048}
+
+
 # -- deviate and worst_noise tasks ---------------------------------------------------
 
 

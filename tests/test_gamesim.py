@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import jamlab as jl
-from jamlab.errors import InvalidProfile, PowerViolation
+from jamlab.errors import GridTooNarrow, InvalidProfile, PowerViolation
 from jamlab.gamesim import (CorrelatedJammer, CurveDecoder,
                             DeterministicEncoder, IndependentNoise,
                             LinearDecoder, MmseGivenProfile,
@@ -50,32 +50,32 @@ def test_simulation_deterministic():
 
 
 def test_curve_and_per_sign_mmse_results_pinned():
-    # recorded when both curves were looked up with np.interp and both sign
-    # tables ran on every sample; the grid lookup keeps np.interp's slope
-    # formula, so only rounding may move these
+    # recorded when one cloud-in-cell builder made both the encoder's
+    # decoder and the per-sign tables; a lookup or sampling refactor keeps
+    # these bits
     enc = companding_encoders(UNIT_CFG)[1]
     dec = mmse_decoder_for_encoder(UNIT_CFG, enc, jl.gaussian(1.0))
     profile = StrategyProfile(enc, IndependentNoise(jl.gaussian(1.0)), dec)
     out = simulate(UNIT_CFG, profile, 100_000, seed=17)
-    assert out.empirical_cost == pytest.approx(0.719272416548102, rel=1e-12)
-    assert out.std_error == pytest.approx(0.0027884057122699053, rel=1e-12)
+    assert out.empirical_cost == pytest.approx(0.7192727270919752, rel=1e-12)
+    assert out.std_error == pytest.approx(0.0027883847816890005, rel=1e-12)
     profile = StrategyProfile(RandomizedLinear(0.5),
                               CorrelatedJammer(0.7, jl.gaussian(1.0)),
                               MmseGivenProfile())
     out = simulate(UNIT_CFG, profile, 100_000, seed=17)
-    assert out.empirical_cost == pytest.approx(0.6453781236385819, rel=1e-12)
-    assert out.std_error == pytest.approx(0.0033423882007886816, rel=1e-12)
+    assert out.empirical_cost == pytest.approx(0.6453781323206348, rel=1e-12)
+    assert out.std_error == pytest.approx(0.003342388225985765, rel=1e-12)
 
 
 def test_tabulated_jammer_result_pinned():
-    # recorded when tabulated draws inverted the jammer's CDF with
-    # np.interp; the guide-table inverse CDF must keep these bits
+    # recorded with the cloud-in-cell decoder builder; the guide-table
+    # inverse CDF keeps the bits of np.interp's tabulated draws
     cfg = JammingGameConfig(jl.laplace(1.0), jl.laplace(1.0), 1.0, 1.0)
     rep = verify_rhs_inequality(cfg, 100_000, seed=23,
                                 encoders=companding_encoders(cfg)[:1])
     out = rep.entries[0].outcome
-    assert out.empirical_cost == 0.6670343280896932
-    assert out.std_error == 0.0039424648503722
+    assert out.empirical_cost == 0.6670343040568536
+    assert out.std_error == 0.0039424918987377875
 
 
 def test_trial_floor_enforced():
@@ -219,6 +219,46 @@ def test_mmse_decoder_for_linear_encoder_is_linear():
     dec = mmse_decoder_for_encoder(UNIT_CFG, enc, jl.gaussian(1.0))
     mid = np.abs(dec.grid.x) < 3
     np.testing.assert_allclose(dec.values[mid], dec.grid.x[mid] / 3, atol=1e-5)
+
+
+def test_mmse_decoder_keeps_rademacher_atoms_on_a_snapped_grid():
+    # at this sigma the atoms sit one rounding error past sigma; a source
+    # cut at required_half_width dropped them and left no output density
+    s = 0.9719298245614036
+    cfg = JammingGameConfig(jl.rademacher_scaled(s), jl.gaussian(1.0), 1.0, 1.0)
+    dec = mmse_decoder_for_encoder(cfg, companding_encoders(cfg)[0],
+                                   jl.gaussian(1.0))
+    # U = +-1 + V with var V = 2, so E[X | U = u] = s tanh(u / 2)
+    mid = np.abs(dec.grid.x) < 4
+    np.testing.assert_allclose(dec.values[mid], s * np.tanh(dec.grid.x[mid] / 2),
+                               atol=1e-5)
+
+
+def test_mmse_decoder_on_a_grid_without_source_mass_is_grid_too_narrow():
+    # a source on 3 <= |x| <= 4 leaves every cell of a +-2 encoder grid empty
+    wide = jl.GridSpec(8.0, 256)
+    ring = ((np.abs(wide.x) >= 3) & (np.abs(wide.x) <= 4)).astype(float)
+    source = jl.tabulated(wide, ring / (ring.sum() * wide.dx))
+    cfg = JammingGameConfig(source, jl.gaussian(1.0), 1.0, 1.0)
+    grid = jl.GridSpec(2.0, 256)
+    enc = DeterministicEncoder(grid, grid.x.copy())
+    with pytest.raises(GridTooNarrow):
+        mmse_decoder_for_encoder(cfg, enc, jl.gaussian(1.0))
+
+
+def test_deterministic_encoder_against_correlated_jammer_decodes_linearly():
+    # U = 1.7 X + V with var V = 0.51 + 1: Gaussian, so the conditional mean
+    # is the linear decoder a / (a^2 + var V) with cost var V / (a^2 + var V)
+    enc = companding_encoders(UNIT_CFG)[0]
+    jam = CorrelatedJammer(0.7, jl.gaussian(1.0))
+    a, var_v = 1.7, 1.51
+    mmse = simulate(UNIT_CFG, StrategyProfile(enc, jam, MmseGivenProfile()),
+                    100_000, seed=53)
+    lin = simulate(UNIT_CFG, StrategyProfile(enc, jam,
+                                             LinearDecoder(a / (a * a + var_v))),
+                   100_000, seed=53)
+    assert mmse.empirical_cost == pytest.approx(lin.empirical_cost, abs=1e-5)
+    assert abs(mmse.empirical_cost - var_v / (a * a + var_v)) < 4 * mmse.std_error
 
 
 # -- jammer-side deviations ----------------------------------------------------------------
