@@ -16,7 +16,8 @@ where it is better, in the direction ``BENCHMARK.json`` gives) and the
 median's relative change, and each checkout's commit (``git rev-parse
 HEAD``, or null where the directory is not the root of a git checkout).
 An existing ``--out`` file keeps its other workloads; this workload's entry
-is replaced.
+is replaced.  The file is written after every pair, with the summary over
+the pairs so far, so a run that fails or is stopped keeps its finished pairs.
 """
 
 from __future__ import annotations
@@ -106,6 +107,31 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def write_record(out: Path, workload: str, commits: dict, pairs: list[dict],
+                 better: dict[str, str]) -> dict:
+    """Write ``workload``'s entry over ``pairs`` into the record ``out``,
+    keeping its other workloads, and return the entry.  The file is
+    replaced whole, so a run stopped while writing leaves the last record."""
+    record = json.loads(out.read_text()) if out.exists() else {}
+    record.setdefault("workloads", {})
+    record["host"] = {"cpus": os.cpu_count(), "machine": platform.machine(),
+                      "python": platform.python_version()}
+    record["command"] = "python3 jambench/run.py --workload <w> --seed <s> --trace 0"
+    entry = record["workloads"][workload] = {
+        "seeds": [p["seed"] for p in pairs],
+        "commits": commits,
+        "metrics": summarize(pairs, better),
+        "failed": {side: [p[side]["failed"] for p in pairs] for side in SIDES},
+        "attempted": {side: [p[side]["attempted"] for p in pairs]
+                      for side in SIDES},
+        "pairs": pairs,
+    }
+    tmp = out.with_name(out.name + ".tmp")
+    tmp.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    os.replace(tmp, out)
+    return entry
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout before the change")
@@ -119,6 +145,7 @@ def main(argv=None) -> int:
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    commits = {side: git_head(dirs[side]) for side in SIDES}
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -129,23 +156,9 @@ def main(argv=None) -> int:
                 f"{k} {v['value']:.4g}" for k, v in
                 sorted(pair[side]["metrics"].items())), flush=True)
         pairs.append(pair)
-
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("workloads", {})
-    record["host"] = {"cpus": os.cpu_count(), "machine": platform.machine(),
-                      "python": platform.python_version()}
-    record["command"] = "python3 jambench/run.py --workload <w> --seed <s> --trace 0"
-    record["workloads"][args.workload] = {
-        "seeds": [p["seed"] for p in pairs],
-        "commits": {side: git_head(dirs[side]) for side in SIDES},
-        "metrics": summarize(pairs, better),
-        "failed": {side: [p[side]["failed"] for p in pairs] for side in SIDES},
-        "attempted": {side: [p[side]["attempted"] for p in pairs]
-                      for side in SIDES},
-        "pairs": pairs,
-    }
-    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    for name, m in record["workloads"][args.workload]["metrics"].items():
+        entry = write_record(args.out, args.workload, commits, pairs,
+                             better)
+    for name, m in entry["metrics"].items():
         print(f"{args.workload}/{name}: {m['parent']['median']:.4g} -> "
               f"{m['change']['median']:.4g} {m['unit']}, "
               f"{m['change_wins']}/{m['pairs']} wins")

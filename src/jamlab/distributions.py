@@ -134,9 +134,9 @@ class DistributionModel:
         pointwise: midpoint sums are then exponentially accurate.  Families
         with kinks or jumps (Laplace, Uniform) use cell averages (CDF
         differences), which keep the in-grid mass exact where sampled values
-        would be biased at O(dx).  Rademacher mass goes on the nearest grid
-        cells to +-sigma (exact when the grid came from ``default_grid``,
-        which snaps).
+        would be biased at O(dx).  Rademacher mass goes on the grid cells
+        nearest +-sigma (exact on a ``default_grid``, which snaps); an atom
+        outside the grid's span [-L, L) drops out, as cell averages do.
         """
         if self.kind == TABULATED and grid == self.grid:
             return self.table.copy()
@@ -145,8 +145,8 @@ class DistributionModel:
         if self.kind == RADEMACHER:
             out = np.zeros(grid.num_points)
             for point in (-self.sigma, self.sigma):
-                i = int(np.argmin(np.abs(grid.x - point)))
-                out[i] += 0.5 / grid.dx
+                if -grid.half_width <= point < grid.half_width:
+                    out[np.argmin(np.abs(grid.x - point))] += 0.5 / grid.dx
             return out
         edges = np.concatenate([grid.x - grid.dx / 2, [grid.x[-1] + grid.dx / 2]])
         c = self.cdf_at(edges)

@@ -256,15 +256,17 @@ class _TableEnergy:
     """E[h^2] = sum num^2/den dx as a function of the noise table f_Z.
 
     num = A f_Z and den = B f_Z are the Bayes-ratio convolutions with x f_X
-    and f_X, restricted to the grid as in ``convolve_tables``.  The kernel
-    spectra are computed once, so a product with A, B or their adjoints
-    costs one real FFT pair.  Output points where den is below the density
-    floor drop out, as in the Bayes ratio.
+    and f_X, restricted to the grid as in ``convolve_tables``.  Output points
+    where den is below the density floor drop out, as in the Bayes ratio.
+    The kernel spectra are computed once, one kernel per row: x f_X and f_X
+    in ``_kernels``, reversed in ``_adjoints``, and reversed (x f_X)^2,
+    x f_X^2 and f_X^2 in ``_squares``; each product is then one ``rfft``
+    and one ``irfft`` call over all rows.
 
-    ``tail`` scores any noise table, the mixture family's included, on
-    the same spectra.  It multiplies kernel spectrum first, the operand
-    order of ``fftconvolve``; complex multiplication in numpy is not
-    bitwise commutative, and this order returns the same bits as the Bayes
+    ``tail`` scores any noise table, the mixture family's included, on the
+    same spectra.  It multiplies kernel spectrum first, the operand order of
+    ``fftconvolve``; complex multiplication in numpy is not bitwise
+    commutative, and this order keeps ``tail`` bitwise equal to the Bayes
     ratio built on ``convolve_tables``.
     """
 
@@ -277,23 +279,22 @@ class _TableEnergy:
         self._on_grid = slice(n // 2, n // 2 + n)
         self._adjoint_on_grid = slice(n // 2 - 1, n // 2 - 1 + n)
         kx = grid.x * fx
-        self._kernels = [self._spectrum(k) for k in (kx, fx)]
-        self._adjoints = [self._spectrum(k[::-1]) for k in (kx, fx)]
-        self._squares = [self._spectrum(k[::-1])
-                         for k in (kx * kx, kx * fx, fx * fx)]
+        self._kernels = sfft.rfft(np.stack([kx, fx]), self._size)
+        self._adjoints = sfft.rfft(np.stack([kx, fx])[:, ::-1], self._size)
+        self._squares = sfft.rfft(
+            np.stack([kx * kx, kx * fx, fx * fx])[:, ::-1], self._size)
 
-    def _spectrum(self, v):
-        return sfft.rfft(v, self._size)
+    def _convolve(self, spectra):
+        """Grid part of the inverse transform of each row of ``spectra``."""
+        return sfft.irfft(spectra, self._size)[:, self._on_grid] * self._dx
 
     def _forward(self, v):
         """(A v, B v)."""
-        spec = self._spectrum(v)
-        return [sfft.irfft(spec * k, self._size)[self._on_grid] * self._dx
-                for k in self._kernels]
+        return self._convolve(sfft.rfft(v, self._size) * self._kernels)
 
     def _correlate(self, vectors, spectra):
         """Sum over pairs of the adjoint convolutions K^T v."""
-        total = sum(self._spectrum(v) * k for v, k in zip(vectors, spectra))
+        total = sum(sfft.rfft(np.stack(vectors), self._size) * spectra)
         return sfft.irfft(total, self._size)[self._adjoint_on_grid] * self._dx
 
     def at(self, fz):
@@ -307,9 +308,7 @@ class _TableEnergy:
     def tail(self, fz):
         """(nonlinear coefficient energy of h, table MMSE); h is extended
         past the density floor as in the Bayes ratio."""
-        spec = self._spectrum(fz)
-        num, den = [sfft.irfft(k * spec, self._size)[self._on_grid] * self._dx
-                    for k in self._kernels]
+        num, den = self._convolve(self._kernels * sfft.rfft(fz, self._size))
         h = _floored_ratio(num, den)
         w = den * self._dx
         eh2 = float(w @ h**2)
@@ -405,12 +404,13 @@ def _grid_table_search(objective: _TableEnergy, budget: float, grid: GridSpec):
     peak = float(start.max())
     weights = start + _BARRIER_FLOOR * peak
     f = _match_moments(start + _START_FLOOR * peak, rows, target, dx)
+    at_f = objective.at(f)  # then kept from the line search at each step
     steps = 0
     converged = False
     for mu in _BARRIER_SCHEDULE:
         converged = False
         for _ in range(_NEWTON_CAP):
-            energy, h, inv_den = objective.at(f)
+            energy, h, inv_den = at_f
             grad = objective.gradient(h) - mu * dx * weights / f
             bar = mu * dx * weights / f**2
             step = _projected_cg(
@@ -427,14 +427,14 @@ def _grid_table_search(objective: _TableEnergy, budget: float, grid: GridSpec):
             merit = energy - mu * dx * float(weights @ np.log(f))
             while t > 1e-10:
                 trial = f + t * step
-                trial_merit = (objective.at(trial)[0]
-                               - mu * dx * float(weights @ np.log(trial)))
+                got = objective.at(trial)
+                trial_merit = got[0] - mu * dx * float(weights @ np.log(trial))
                 if trial_merit <= merit - 1e-4 * t * decrement:
                     break
                 t *= 0.5
             else:
                 break  # no descent along the Newton direction
-            f = trial
+            f, at_f = trial, got
             steps += 1
     return _match_moments(f, rows, target, dx), steps, converged
 

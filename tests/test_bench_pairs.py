@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -103,3 +104,35 @@ def test_summarize_worse_change_and_flat_parent():
     one = bench_pairs.summarize(_pairs([3.0], [2.0], "x"), {})["x"]
     assert one["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     assert one["change_wins"] == 1
+
+
+# -- record --------------------------------------------------------------------
+
+
+def test_record_keeps_the_finished_pairs_when_a_run_fails(tmp_path,
+                                                          monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "pass_s", "better": "lower"}]}))
+    out = tmp_path / "b.json"
+    calls = []
+
+    def run_once(checkout, workload, seed):
+        calls.append((workload, seed))
+        if len(calls) == 5:
+            raise RuntimeError("run 5 failed")
+        return {"metrics": {"pass_s": {"value": float(len(calls)),
+                                       "unit": "s"}},
+                "failed": 0, "attempted": 3}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(RuntimeError, match="run 5 failed"):
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload",
+                          "deviate", "--seeds", "1-4", "--out", str(out)])
+    entry = json.loads(out.read_text())["workloads"]["deviate"]
+    assert entry["seeds"] == [1, 2]
+    assert [p["first"] for p in entry["pairs"]] == ["parent", "change"]
+    # pair 1 ran parent then change (1, 2); pair 2 change then parent (3, 4)
+    assert entry["metrics"]["pass_s"]["pairs"] == 2
+    assert entry["metrics"]["pass_s"]["change_wins"] == 1
+    assert entry["attempted"] == {"parent": [3, 3], "change": [3, 3]}
+    assert not (tmp_path / "b.json.tmp").exists()

@@ -91,6 +91,19 @@ def test_rademacher_table_is_two_atoms():
     assert f.sum() * g.dx == pytest.approx(1.0)
 
 
+def test_rademacher_atoms_outside_the_grid_put_no_mass_on_it():
+    # both atoms past a +-2 grid: no mass, as tail_mass_outside reports
+    d = jl.rademacher_scaled(5.0)
+    g = jl.GridSpec(2.0, 256)
+    assert d.pdf_on(g).sum() * g.dx == 0.0
+    assert d.tail_mass_outside(g.half_width) == 1.0
+    # the grid spans [-L, L): at sigma = L only the atom at -L is on it
+    edge = jl.GridSpec(d.sigma, 256)
+    f = d.pdf_on(edge)
+    assert np.nonzero(f)[0].tolist() == [0]
+    assert f.sum() * edge.dx == pytest.approx(0.5, abs=1e-15)
+
+
 def test_default_grid_snaps_rademacher_atoms():
     d = jl.rademacher_scaled(0.7)
     g = jl.default_grid(d)

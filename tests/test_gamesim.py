@@ -246,6 +246,16 @@ def test_mmse_decoder_on_a_grid_without_source_mass_is_grid_too_narrow():
         mmse_decoder_for_encoder(cfg, enc, jl.gaussian(1.0))
 
 
+def test_mmse_decoder_for_a_rademacher_source_off_the_encoder_grid():
+    # the atoms at +-5 lie past a +-2 encoder grid, so no cell carries mass
+    cfg = JammingGameConfig(jl.rademacher_scaled(5.0), jl.gaussian(1.0),
+                            1.0, 1.0)
+    grid = jl.GridSpec(2.0, 256)
+    enc = DeterministicEncoder(grid, grid.x.copy())
+    with pytest.raises(GridTooNarrow):
+        mmse_decoder_for_encoder(cfg, enc, jl.gaussian(1.0))
+
+
 def test_deterministic_encoder_against_correlated_jammer_decodes_linearly():
     # U = 1.7 X + V with var V = 0.51 + 1: Gaussian, so the conditional mean
     # is the linear decoder a / (a^2 + var V) with cost var V / (a^2 + var V)

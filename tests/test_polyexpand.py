@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 import jamlab as jl
 from jamlab.errors import (BasisMismatch, IllConditioned,
                            UnstableIntegration)
-from jamlab.estimation import (_bayes_ratio, linear_benchmark, mmse_estimator,
+from jamlab.estimation import (_DENSITY_FLOOR, _bayes_ratio,
+                               linear_benchmark, mmse_estimator,
                                output_density)
 from jamlab.polyexpand import (GaussianMixtureFamily, GridTableFamily,
-                               _match_moments, _mixture_table, _TableEnergy,
-                               _unpack_mixture, build_basis, expansion_coeffs,
-                               mmse_via_expansion, noise_from_estimator,
-                               probe_family, worst_noise_search)
+                               _match_moments, _mixture_table, _search_energy,
+                               _TableEnergy, _unpack_mixture, build_basis,
+                               expansion_coeffs, mmse_via_expansion,
+                               noise_from_estimator, probe_family,
+                               worst_noise_search)
 
 
 def fu_model(source, noise, grid=None):
@@ -322,6 +325,90 @@ def test_table_energy_curvature_matches_second_differences():
                                column, rtol=1e-5)
 
 
+class _PerKernelEnergy:
+    """The Newton products of ``_TableEnergy`` with one ``rfft`` per vector
+    and one ``irfft`` per kernel, the reference for the batched transforms."""
+
+    def __init__(self, fx, grid):
+        n = grid.num_points
+        self.dx = grid.dx
+        self.size = sfft.next_fast_len(2 * n - 1, real=True)
+        self.on_grid = slice(n // 2, n // 2 + n)
+        self.adjoint_on_grid = slice(n // 2 - 1, n // 2 - 1 + n)
+        kx = grid.x * fx
+        self.kernels = [self.spectrum(k) for k in (kx, fx)]
+        self.adjoints = [self.spectrum(k[::-1]) for k in (kx, fx)]
+        self.squares = [self.spectrum(k[::-1])
+                        for k in (kx * kx, kx * fx, fx * fx)]
+
+    def spectrum(self, v):
+        return sfft.rfft(v, self.size)
+
+    def forward(self, v):
+        spec = self.spectrum(v)
+        return [sfft.irfft(spec * k, self.size)[self.on_grid] * self.dx
+                for k in self.kernels]
+
+    def correlate(self, vectors, spectra):
+        total = sum(self.spectrum(v) * k for v, k in zip(vectors, spectra))
+        return sfft.irfft(total, self.size)[self.adjoint_on_grid] * self.dx
+
+    def at(self, fz):
+        num, den = self.forward(fz)
+        ok = den > _DENSITY_FLOOR
+        inv_den = np.where(ok, 1.0 / np.where(ok, den, 1.0), 0.0)
+        h = num * inv_den
+        return float(h @ num) * self.dx, h, inv_den
+
+    def gradient(self, h):
+        return self.dx * self.correlate((2.0 * h, -h * h), self.adjoints)
+
+    def hvp(self, h, inv_den, v):
+        a, b = self.forward(v)
+        r = (a - h * b) * inv_den
+        return 2.0 * self.dx * self.correlate((r, -h * r), self.adjoints)
+
+    def hessian_diagonal(self, h, inv_den):
+        return 2.0 * self.dx**2 * self.correlate(
+            (inv_den, -2.0 * h * inv_den, h * h * inv_den), self.squares)
+
+
+def _laplace_search_point(budget):
+    # the table search's first iterate for a Laplace source, and the
+    # direction from it to the Laplace noise of the same power
+    grid, energy = _search_energy(jl.laplace(1.0), budget, None)
+    rows = np.vstack([np.ones_like(grid.x), grid.x, grid.x**2])
+    target = np.array([1.0, 0.0, budget])
+    f = _match_moments(jl.gaussian(budget).pdf_on(grid), rows, target, grid.dx)
+    v = jl.laplace(budget).pdf_on(grid) - f
+    return energy, jl.laplace(1.0).pdf_on(grid), grid, f, v
+
+
+def _uniform_fixture_point(n):
+    energy, f, v, _ = _energy_and_direction(n)
+    grid = jl.default_grid(jl.uniform(1.0), jl.laplace(1.0), num_points=n)
+    return energy, jl.uniform(1.0).pdf_on(grid), grid, f, v
+
+
+@pytest.mark.parametrize("point", [
+    lambda: _uniform_fixture_point(2048), lambda: _uniform_fixture_point(256),
+    lambda: _laplace_search_point(1.0), lambda: _laplace_search_point(2.0),
+], ids=["uniform-2048", "uniform-256", "laplace-1", "laplace-2"])
+def test_batched_products_are_bitwise_the_per_kernel_products(point):
+    energy, fx, grid, f, v = point()
+    ref = _PerKernelEnergy(fx, grid)
+    got, want = energy.at(f), ref.at(f)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert np.array_equal(a, b)
+    _, h, inv_den = want
+    for a, b in [(energy.gradient(h), ref.gradient(h)),
+                 (energy.hvp(h, inv_den, v), ref.hvp(h, inv_den, v)),
+                 (energy.hessian_diagonal(h, inv_den),
+                  ref.hessian_diagonal(h, inv_den))]:
+        assert np.array_equal(a, b)
+
+
 def test_grid_table_search_holds_mass_mean_and_power():
     res = worst_noise_search(jl.uniform(1.0), 0.3, 6, GridTableFamily())
     f, grid = res.noise.table, res.noise.grid
@@ -346,6 +433,13 @@ def test_grid_table_search_regression_pin():
     res = worst_noise_search(jl.laplace(1.0), 1.0, 6, GridTableFamily())
     assert res.objective == pytest.approx(4.6561865474359365e-11, rel=1e-12)
     assert res.iterations == 129
+
+
+def test_grid_table_search_budget_two_regression_pin():
+    # the benchmark's other grid-table search
+    res = worst_noise_search(jl.laplace(1.0), 2.0, 6, GridTableFamily())
+    assert res.objective == pytest.approx(1.0260292615527078e-11, rel=1e-12)
+    assert res.iterations == 25
 
 
 @pytest.mark.parametrize("source, budget, polynomial_mmse", [
