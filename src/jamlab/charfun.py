@@ -10,7 +10,9 @@ table -> CF -> table round trip is bitwise-stable to machine precision.
 
 Fractional powers use a complex logarithm whose branch is tracked continuously
 outward from omega=0 (phase unwrapping); principal-branch logs would inject
-spurious 2*pi jumps that break Hermitian symmetry.  Where the input magnitude
+spurious 2*pi jumps that break Hermitian symmetry.  The branch tracking
+computes the 2*pi correction only at phase steps of at least pi (NaN steps
+included) and equals ``np.unwrap`` bit for bit.  Where the input magnitude
 falls below the floor before the grid edge, the power/quotient is truncated to
 zero outward and the result is flagged.
 
@@ -78,14 +80,54 @@ class CharacteristicFunction:
 # -- transforms ----------------------------------------------------------------
 
 
+def _swap_halves(a: np.ndarray) -> np.ndarray:
+    # both fftshift and ifftshift on the even grids GridSpec enforces
+    h = len(a) // 2
+    return np.concatenate((a[h:], a[:h]))
+
+
 def _density_to_cf_values(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     n = grid.num_points
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f))) * (n * grid.dx)
+    return _swap_halves(np.fft.ifft(_swap_halves(f))) * (n * grid.dx)
 
 
 def _cf_values_to_density(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     n = grid.num_points
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(vals))) / (n * grid.dx)
+    return _swap_halves(np.fft.fft(_swap_halves(vals))) / (n * grid.dx)
+
+
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """``np.unwrap(p)`` of a 1-D float array, bit for bit.
+
+    np.unwrap reduces every step mod 2*pi and then zeroes the correction
+    wherever the step is below pi; here only the steps where ``|d| < pi``
+    fails (NaN included) are reduced, with numpy's own formula.  The
+    corrections are still summed over the whole array, so signed zeros come
+    out as numpy's do.
+    """
+    d = np.diff(p)
+    jump = np.flatnonzero(~(np.abs(d) < np.pi))
+    up = p.copy()
+    if not len(jump):
+        up[1:] += 0.0  # numpy adds a zero correction: -0.0 becomes +0.0
+        return up
+    dj = d[jump]
+    m = np.mod(dj + np.pi, 2 * np.pi) - np.pi
+    m[(m == -np.pi) & (dj > 0)] = np.pi
+    corr = np.zeros(len(d))
+    corr[jump] = m - dj
+    up[1:] = p[1:] + np.cumsum(corr)
+    return up
+
+
+def _nonfinite_reason(cf: CharacteristicFunction) -> str:
+    """Names the first non-finite sample, or "" when every sample is finite."""
+    bad = ~np.isfinite(cf.values)
+    if not bad.any():
+        return ""
+    i = int(np.argmax(bad))
+    return (f"non-finite sample {complex(cf.values[i])} "
+            f"at omega = {cf.grid.omega[i]:.6g}")
 
 
 def _hermitian_defect(vals: np.ndarray) -> float:
@@ -127,10 +169,13 @@ def cf_of(dist: DistributionModel, grid: GridSpec) -> CharacteristicFunction:
 def density_from_cf(cf: CharacteristicFunction) -> DistributionModel:
     """Inverse transform onto the signal grid, returned as a tabulated model.
 
-    Requires F(0)=1 and Hermitian symmetry; the imaginary residue of the
-    inversion must stay below 1e-6.  Negative ringing is clipped away and the
-    pre-clip floor is recorded on the output model.
+    Requires finite samples, F(0)=1 and Hermitian symmetry; the imaginary
+    residue of the inversion must stay below 1e-6.  Negative ringing is
+    clipped away and the pre-clip floor is recorded on the output model.
     """
+    bad = _nonfinite_reason(cf)
+    if bad:
+        raise ValueError(bad)
     if abs(cf.at_zero() - 1.0) > _CF_ATOL:
         raise ValueError(f"cf(0) = {cf.at_zero():.3g}, expected 1")
     if _hermitian_defect(cf.values) > _CF_ATOL:
@@ -150,6 +195,8 @@ def cf_power(cf: CharacteristicFunction, beta: float,
              floor: float = _POWER_FLOOR, strict: bool = False) -> CharacteristicFunction:
     """F**beta with the log branch unwrapped continuously outward from 0.
 
+    The branch is tracked by ``_unwrap``, which computes the 2*pi correction
+    only at phase steps of at least pi and equals ``np.unwrap`` bit for bit.
     The output is Hermitian by construction with F(0)=1 exact.  Samples beyond
     the first point where |F| < floor are zeroed (``truncated`` set on the
     output); in strict mode that situation raises ``ZeroCrossing`` instead.
@@ -180,7 +227,7 @@ def cf_power(cf: CharacteristicFunction, beta: float,
     cut = int(sub[0]) if len(sub) else len(half)
     truncated = cut < len(half)
     out_half = np.zeros(len(half), dtype=complex)
-    phase = np.unwrap(np.angle(half[:cut]))
+    phase = _unwrap(np.angle(half[:cut]))
     with np.errstate(under="ignore"):
         out_half[:cut] = mag[:cut] ** beta * np.exp(1j * beta * phase)
     out_half[0] = 1.0 + 0.0j
@@ -195,7 +242,7 @@ def cf_power(cf: CharacteristicFunction, beta: float,
         vals[0] = 0.0
         truncated = truncated or mag0 < floor
     else:
-        phase0 = np.unwrap(np.angle(edge))[-1]
+        phase0 = _unwrap(np.angle(edge))[-1]
         vals[0] = mag0 ** beta * np.exp(1j * beta * phase0)
     return CharacteristicFunction(cf.grid, vals, validity=UNCHECKED,
                                   truncated=truncated or cf.truncated)
@@ -219,7 +266,7 @@ def cf_divide(num: CharacteristicFunction, den: CharacteristicFunction,
     ok = np.abs(den.values) >= floor
     vals = np.zeros(num.grid.num_points, dtype=complex)
     with np.errstate(over="ignore", under="ignore"):
-        vals[ok] = num.values[ok] / den.values[ok]
+        np.divide(num.values, den.values, out=vals, where=ok)
     return CharacteristicFunction(num.grid, vals, validity=UNCHECKED,
                                   truncated=bool(
                                       (~ok).any()) or num.truncated or den.truncated)
@@ -231,10 +278,15 @@ def cf_divide(num: CharacteristicFunction, den: CharacteristicFunction,
 def check_validity(cf: CharacteristicFunction) -> CharacteristicFunction:
     """Run the validity battery and return a tagged copy.
 
-    Checks, in order: F(0)=1, Hermitian symmetry, |F| <= 1, unit integral of
-    the inverse transform, and nonnegativity of the Fejer-windowed inversion
-    (floor -1e-6).  The first failure is recorded as the reason.
+    Checks, in order: finite samples (NaN or inf; the reason names the
+    first offending omega), F(0)=1, Hermitian symmetry, |F| <= 1, unit
+    integral of the inverse transform, and nonnegativity of the
+    Fejer-windowed inversion (floor -1e-6).  The first failure is recorded
+    as the reason.
     """
+    bad = _nonfinite_reason(cf)
+    if bad:
+        return replace(cf, validity=INVALID, reason=bad)
     z = cf.at_zero()
     if abs(z - 1.0) > _CF_ATOL:
         return replace(cf, validity=INVALID, reason=f"cf(0) = {z:.6g}, expected 1")

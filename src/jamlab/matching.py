@@ -169,14 +169,12 @@ def identical_distribution_check(cfg: JammingGameConfig,
 
 
 def _normalized_power_distance(dist: DistributionModel, beta: float,
-                               grid: GridSpec) -> float:
+                               grid: GridSpec, target: np.ndarray) -> float:
     """Sup distance between the variance-normalized beta-fold self-convolution
-    CF and the standard Gaussian CF."""
+    CF and ``target``, the standard Gaussian CF on the grid."""
     scale = math.sqrt(beta * dist.variance)
     base = CharacteristicFunction(grid, dist.cf_at(grid.omega / scale))
-    powered = cf_power(base, beta) if beta != 1.0 else base
-    target = np.exp(-grid.omega**2 / 2.0)
-    return float(np.max(np.abs(powered.values - target)))
+    return float(np.max(np.abs(cf_power(base, beta).values - target)))
 
 
 def asymptotic_gaussianization(source: DistributionModel, beta_schedule,
@@ -193,7 +191,9 @@ def asymptotic_gaussianization(source: DistributionModel, beta_schedule,
         raise ValueError("beta schedule must be positive and increasing")
     if grid is None:
         grid = default_grid(gaussian(1.0))
-    return [(b, _normalized_power_distance(source, b, grid)) for b in betas]
+    target = np.exp(-grid.omega**2 / 2.0)
+    return [(b, _normalized_power_distance(source, b, grid, target))
+            for b in betas]
 
 
 def gaussian_source_limit_check(noise: DistributionModel, beta_schedule,
@@ -216,6 +216,7 @@ def gaussian_source_limit_check(noise: DistributionModel, beta_schedule,
         "laplace": laplace(power_jam),
         "uniform": uniform(power_jam),
     }
+    target = np.exp(-grid.omega**2 / 2.0)
     out = []
     for b in betas:
         scale = math.sqrt((power_jam + noise.variance) / b)
@@ -224,7 +225,6 @@ def gaussian_source_limit_check(noise: DistributionModel, beta_schedule,
             vals = jam.cf_at(grid.omega / scale) * noise.cf_at(grid.omega / scale)
             prod = CharacteristicFunction(grid, vals)
             rooted = cf_power(prod, 1.0 / b)
-            row[name] = float(np.max(np.abs(rooted.values
-                                            - np.exp(-grid.omega**2 / 2.0))))
+            row[name] = float(np.max(np.abs(rooted.values - target)))
         out.append((b, row))
     return out

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jamlab as jl
-from jamlab.charfun import CharacteristicFunction
+from jamlab.charfun import CharacteristicFunction, _swap_halves, _unwrap
 from jamlab.errors import (ExcessImaginary, GridMismatch, GridTooNarrow,
                            NotHermitian, ZeroCrossing)
 
@@ -151,6 +151,30 @@ def test_rademacher_root_truncates_and_fails_battery():
     assert jl.check_validity(got).validity == "invalid"
 
 
+# exact multiples of pi make steps of exactly pi and 2*pi, where np.unwrap's
+# boundary rule decides the sign of the correction
+PHASES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi,
+                     3 * np.pi, np.nan, np.inf, -np.inf]),
+    st.floats(-4 * np.pi, 4 * np.pi),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.lists(PHASES, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_unwrap_is_bitwise_np_unwrap(phases):
+    p = np.array(phases, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _unwrap(p).tobytes() == np.unwrap(p).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 8192])
+def test_half_swap_is_both_fft_shifts(n):
+    a = np.arange(n) + 1j * np.arange(n)[::-1]
+    assert np.array_equal(_swap_halves(a), np.fft.fftshift(a))
+    assert np.array_equal(_swap_halves(a), np.fft.ifftshift(a))
+
+
 def test_power_one_is_bitwise_identity():
     g = jl.default_grid(jl.laplace(1.0))
     cf = jl.cf_of(jl.laplace(1.0), g)
@@ -269,6 +293,30 @@ def test_magnitude_violation_detected():
     got = jl.check_validity(CharacteristicFunction(g, vals))
     assert got.validity == "invalid"
     assert "magnitude" in got.reason
+
+
+def _gaussian_cf_with(index_values):
+    g = jl.GridSpec(12.0, 256)
+    vals = jl.gaussian(1.0).cf_at(g.omega).astype(complex)
+    for i, v in index_values.items():
+        vals[i] = v
+    return CharacteristicFunction(g, vals)
+
+
+@pytest.mark.parametrize("cf, omega", [
+    (_gaussian_cf_with({140: np.nan}), "3.14159"),
+    (_gaussian_cf_with({i: np.nan for i in range(256)}), "-33.5103"),
+    (_gaussian_cf_with({156: np.inf}), "7.33038"),
+    (_gaussian_cf_with({100: np.inf, 156: np.inf}), "-7.33038"),
+], ids=["one-nan", "all-nan", "one-inf", "hermitian-inf-pair"])
+def test_nonfinite_samples_fail_battery_first(cf, omega):
+    got = jl.check_validity(cf)
+    assert got.validity == "invalid"
+    assert got.reason.startswith("non-finite sample")
+    assert got.reason.endswith(f"at omega = {omega}")
+    with pytest.raises(ValueError) as err:
+        jl.density_from_cf(cf)
+    assert str(err.value) == got.reason
 
 
 # -- curvature variance -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -136,6 +137,74 @@ def test_identical_check_guards_preconditions():
     with pytest.raises(PreconditionViolated):
         identical_distribution_check(cfg2)
 
+
+
+# -- bit pins of the CF layer ----------------------------------------------------
+
+
+def _sha1(array):
+    return hashlib.sha1(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _game(source, noise, power_tx, power_jam, num_points=2048):
+    cfg = JammingGameConfig(source, noise, power_tx, power_jam)
+    return synthesize_jammer(cfg, cfg.grid_for(num_points))
+
+
+def _tabulated_laplace_game():
+    # the source table lives on the synthesis grid, so cf_of and the density
+    # both take the FFT path
+    grid = JammingGameConfig(jl.laplace(1.0), jl.laplace(1.0), 1.0,
+                             1.0).grid_for(2048)
+    source = jl.tabulated(grid, jl.laplace(1.0).pdf_on(grid))
+    return synthesize_jammer(
+        JammingGameConfig(source, jl.laplace(1.0), 1.0, 2.0), grid)
+
+
+# recorded before the branch tracking of cf_power stopped calling np.unwrap;
+# a refactor of charfun keeps these bits
+CF_LAYER_PINS = {
+    # the uniform sinc changes sign: phase steps of exactly pi
+    "uniform-source": (
+        lambda: _game(jl.uniform(1.0), jl.laplace(1.0), 1.0, 0.5),
+        "no_match", False, "d5f2183ea46e2fb451a1e142f0009f068a4df4f5", None),
+    # twelve genuine 2*pi corrections, then truncation where the CF underflows
+    "mixture-source": (
+        lambda: _game(jl.gaussian_mixture((0.3, 0.7), (0.7, -0.3), (0.3, 0.4)),
+                      jl.laplace(1.0), 1.0, 1.0),
+        "no_match", True, "07f50a6b12b542d3ce844fcdf458c320160be6ac", None),
+    "tabulated-source": (
+        _tabulated_laplace_game,
+        "matched", False, "cfd82ddc2e3758f23d91b6e2e104c6e12f3074ad",
+        "279fee623897cbd630e0a102d60b46f2937c8d6f"),
+    "gaussian-gaussian": (
+        lambda: _game(jl.gaussian(1.0), jl.gaussian(1.0), 1.0, 3.0),
+        "matched", True, "f684fa652c16f37b5d3087bfbd2b87c8177e5929",
+        "764d2c7858f58d14efafe9ea10d7a6e6ca50780c"),
+    "laplace-laplace": (
+        lambda: _game(jl.laplace(1.0), jl.laplace(1.0), 1.0, 1.0),
+        "matched", False, "84d622f21d7edea0f345d997ddad45bb4f2ed0f9",
+        "5a30c583fbc9edee9858ff702e782ef894805d2c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CF_LAYER_PINS))
+def test_synthesis_bits_pinned(case):
+    run, verdict, truncated, cf_sha, table_sha = CF_LAYER_PINS[case]
+    res = run()
+    assert (res.verdict, res.jammer_cf.truncated) == (verdict, truncated)
+    assert _sha1(res.jammer_cf.values) == cf_sha
+    table = res.jammer_density.table if res.matched else None
+    assert (None if table is None else _sha1(table)) == table_sha
+
+
+def test_truncated_rademacher_root_bits_pinned():
+    # the root hits the floor before the grid edge, so the unpaired left
+    # edge is zeroed instead of walked
+    d = jl.rademacher_scaled(1.0)
+    got = jl.cf_power(jl.cf_of(d, jl.default_grid(d, num_points=2048)), 0.5)
+    assert got.truncated and got.values[0] == 0
+    assert _sha1(got.values) == "8a6c86197e6b17a6d054b708dff48b3d3916d4c2"
 
 # -- asymptotics -----------------------------------------------------------------
 
