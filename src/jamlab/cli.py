@@ -96,7 +96,14 @@ def build_model(spec: dict, base_dir: Path) -> DistributionModel:
                                 _require(spec, "sigmas", "mixture"))
     if family == "tabulated":
         path = base_dir / _require(spec, "path", "tabulated distribution")
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except OSError as exc:
+            raise ConfigError(f"tabulated density file {path}: "
+                              f"{exc.strerror or 'not found'}") from None
+        if data.shape[0] < 2 or data.shape[1] < 2:
+            raise ConfigError(f"{path}: expected two columns, x and density, "
+                              "and at least two rows")
         x, f = data[:, 0], data[:, 1]
         n = len(x)
         dx = x[1] - x[0]
@@ -297,10 +304,11 @@ def _task_mmse(spec, cfg, grid, out_dir, strict_paper):
 def _task_worst_noise(spec, cfg, grid, out_dir, strict_paper):
     order = _num(spec.get("order", 6), "order", int)
     k = _num(spec.get("mixture_components", 3), "mixture_components", int)
-    if k < 1:
-        raise ConfigError(f"field 'mixture_components' must be at least 1, got {k}")
-    res = worst_noise_search(cfg.source, cfg.power_jam, order,
-                             GaussianMixtureFamily(k),
+    try:
+        family = GaussianMixtureFamily(k)
+    except ValueError as exc:
+        raise ConfigError(f"field 'mixture_components': {exc}") from None
+    res = worst_noise_search(cfg.source, cfg.power_jam, order, family,
                              seed=_num(spec["seed"], "seed", int))
     outputs = {
         "objective": res.objective,

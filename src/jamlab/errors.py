@@ -46,7 +46,7 @@ class InfeasibleFamily(JamlabError):
 
 
 class UnstableIntegration(JamlabError):
-    """Marched ODE solution left the stability region."""
+    """No noise CF is consistent with the given estimator."""
 
 
 class PowerViolation(JamlabError):

@@ -19,7 +19,7 @@ from scipy.signal import fftconvolve
 from .charfun import cf_of, cf_power, check_validity, density_from_cf
 from .distributions import DistributionModel, default_grid
 from .errors import GridTooNarrow
-from .grids import GridSpec
+from .grids import GridSpec, read_only_copy
 
 _DENSITY_FLOOR = 1e-12  # below this, h is extended by its nearest computed value
 _LINEARITY_TOL = 1e-4   # linearity residual a matched source's estimator stays below
@@ -40,9 +40,7 @@ class EstimatorCurve:
     linearity_residual: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", read_only_copy(self.values))
 
 
 def convolve_tables(f: np.ndarray, g: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -26,7 +26,7 @@ from scipy.signal import fftconvolve
 from .distributions import DistributionModel, default_grid, gaussian, laplace, uniform
 from .errors import InvalidProfile, PowerViolation
 from .estimation import _floored_ratio, convolve_tables
-from .grids import GridSpec
+from .grids import GridSpec, read_only_copy
 from .matching import JammingGameConfig, synthesize_jammer
 
 _CHUNK = 1 << 16
@@ -56,11 +56,8 @@ class RandomizedLinear:
 
 def _freeze_values(curve) -> None:
     """Store a curve's values as a read-only float copy matching its grid."""
-    vals = np.asarray(curve.values, dtype=float).copy()
-    if vals.shape != (curve.grid.num_points,):
-        raise ValueError("curve values shape must match the grid")
-    vals.flags.writeable = False
-    object.__setattr__(curve, "values", vals)
+    object.__setattr__(curve, "values", read_only_copy(
+        curve.values, float, curve.grid.num_points))
 
 
 @dataclass(frozen=True)
@@ -287,8 +284,11 @@ def simulate(cfg: JammingGameConfig, profile: StrategyProfile, trials: int,
     enc, jam, dec = profile.encoder, profile.jammer, profile.decoder
     randomized = isinstance(enc, RandomizedLinear)
     if isinstance(dec, MmseGivenProfile):
-        tables = _per_sign_mmse_tables(cfg, jam) if randomized \
+        # one table per shared sign, else a plain curve decoder
+        dec = _per_sign_mmse_tables(cfg, jam) if randomized \
             else _conditional_mean(cfg, enc.grid, enc.values, jam)
+    elif not isinstance(dec, (LinearDecoder, CurveDecoder)):
+        raise InvalidProfile(f"unknown decoder {dec!r}")
     c_coef, residual = _jammer_parts(cfg, jam)
 
     nchunks = (trials + _CHUNK - 1) // _CHUNK
@@ -314,16 +314,11 @@ def simulate(cfg: JammingGameConfig, profile: StrategyProfile, trials: int,
             xhat = dec.gain * u if gam is None else gam * dec.gain * u
         elif isinstance(dec, CurveDecoder):
             xhat = dec.apply(u) if gam is None else gam * dec.apply(gam * u)
-        elif isinstance(dec, MmseGivenProfile):
-            if randomized:
-                xhat = np.empty(k)
-                for s in (1.0, -1.0):
-                    at = np.flatnonzero(gam == s)  # faster than a boolean mask
-                    xhat[at] = tables[s].apply(u[at])
-            else:
-                xhat = tables.apply(u)
-        else:
-            raise InvalidProfile(f"unknown decoder {dec!r}")
+        else:  # the per-sign tables of MmseGivenProfile
+            xhat = np.empty(k)
+            for s in (1.0, -1.0):
+                at = np.flatnonzero(gam == s)  # faster than a boolean mask
+                xhat[at] = dec[s].apply(u[at])
         err = (x - xhat) ** 2
         sums[chunk] = err.sum()
         squares[chunk] = (err * err).sum()

@@ -12,6 +12,16 @@ from functools import cached_property
 import numpy as np
 
 
+def read_only_copy(values, dtype=float, length: int | None = None) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values``.  With ``length``, anything
+    but a 1-D array of that many samples raises ``ValueError``."""
+    a = np.array(values, dtype=dtype)
+    if length is not None and a.shape != (length,):
+        raise ValueError("values shape must match the grid")
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sample grid shared by densities and characteristic functions.
@@ -40,15 +50,13 @@ class GridSpec:
 
     @cached_property
     def x(self) -> np.ndarray:
-        a = (np.arange(self.num_points) - self.num_points // 2) * self.dx
-        a.flags.writeable = False
-        return a
+        return read_only_copy((np.arange(self.num_points)
+                               - self.num_points // 2) * self.dx)
 
     @cached_property
     def omega(self) -> np.ndarray:
-        a = (np.arange(self.num_points) - self.num_points // 2) * self.domega
-        a.flags.writeable = False
-        return a
+        return read_only_copy((np.arange(self.num_points)
+                               - self.num_points // 2) * self.domega)
 
     def lookup(self, x, values: np.ndarray) -> np.ndarray:
         """``np.interp(x, self.x, values)``, with the interval found by index
@@ -60,12 +68,3 @@ class GridSpec:
                  / np.diff(self.x, append=self.x[-1] + self.dx))
         offset = np.clip(x, self.x[0], self.x[-1]) - self.x.take(i)
         return values.take(i) + slope.take(i) * offset
-
-    def __eq__(self, other):
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return (self.half_width == other.half_width
-                and self.num_points == other.num_points)
-
-    def __hash__(self):
-        return hash((self.half_width, self.num_points))

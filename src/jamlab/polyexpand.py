@@ -26,26 +26,25 @@ approximate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy import fft as sfft
 
-from .charfun import CharacteristicFunction, check_validity
+from .charfun import (_density_to_cf_values, cf_divide, cf_of, cf_power,
+                      check_validity)
 from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
 from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
                      UnstableIntegration)
 from .estimation import (_DENSITY_FLOOR, _floored_ratio, mmse_estimator,
                          output_density)
-from .grids import GridSpec
+from .grids import GridSpec, read_only_copy
 
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
 _HANKEL_COND_LIMIT = 1e12
-_ODE_ORDER_CAP = 4
 _CF_RATIO_FLOOR = 1e-6   # recovered noise CF is cut where |F_X| falls below this
-_MARCH_BOUND = 10.0      # |G| beyond this means the marched solution diverged
 
 _BARRIER_SCHEDULE = (1e-6, 1e-7, 1e-8)  # barrier parameters of the table search
 _BARRIER_FLOOR = 1e-6    # barrier weight floor, relative to the start's peak
@@ -77,9 +76,7 @@ class OrthoPolyBasis:
 
     def __post_init__(self):
         for name in ("poly_coeffs", "values"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, read_only_copy(getattr(self, name)))
 
 
 def build_basis(output_density: DistributionModel, order: int) -> OrthoPolyBasis:
@@ -154,9 +151,7 @@ class ExpansionCoefficients:
     mmse_poly: float
 
     def __post_init__(self):
-        a = np.asarray(self.c, dtype=float).copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "c", a)
+        object.__setattr__(self, "c", read_only_copy(self.c))
 
 
 def expansion_coeffs(source: DistributionModel, noise: DistributionModel,
@@ -194,12 +189,14 @@ def mmse_via_expansion(source: DistributionModel, noise: DistributionModel,
 
 @dataclass(frozen=True)
 class GaussianMixtureFamily:
-    """Zero-mean k-component Gaussian mixture; 3k-1 free parameters."""
+    """Zero-mean k-component Gaussian mixture; 3k-1 free parameters, at most
+    11 (k <= 4) for the simplex search."""
     k: int = 3
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"mixture needs k >= 1 components, got k={self.k}")
+        if not 1 <= self.k <= 4:
+            raise ValueError(
+                f"mixture needs 1 <= k <= 4 components, got k={self.k}")
 
     @property
     def parameter_count(self) -> int:
@@ -472,8 +469,6 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     """
     _check_family(family)
     parametric = not isinstance(family, GridTableFamily)
-    if parametric and family.parameter_count > 12:
-        raise ValueError("family parameter count capped at 12")
     for name, value in (("restarts", restarts), ("maxfev", maxfev)):
         if parametric and value < 1:
             raise ValueError(f"{name} must be at least 1")
@@ -532,149 +527,63 @@ def probe_family(source: DistributionModel, noise_budget: float,
     return np.array(out)
 
 
-# -- noise recovery from a polynomial estimator ----------------------------------------
-
-
-def _cf_derivative_values(dist: DistributionModel, grid: GridSpec) -> np.ndarray:
-    """Samples of F'(omega) via the transform of x * f(x)."""
-    from .charfun import _density_to_cf_values
-    return 1j * _density_to_cf_values(grid.x * dist.pdf_on(grid), grid)
+# -- noise recovery from a linear estimator -------------------------------------------
 
 
 def noise_from_estimator(source: DistributionModel, estimator_coeffs,
                          grid: GridSpec | None = None):
-    """Recover the noise CF consistent with a polynomial conditional mean.
+    """Recover the noise CF consistent with a linear conditional mean.
 
-    A degree-M estimator h(u) = sum b_m u^m forces the product G = F_X * F_Z
-    to satisfy the frequency-domain identity sum_m b_m (-i)^m G^(m) =
-    -i F_X' G / F_X (the transform of the defining Bayes identity; the
-    (-i)^m factors come from differentiating under the transform).  G is
-    marched outward from omega = 0 with G(0)=1, G'(0)=0 and, for orders
-    three and four, higher initial derivatives seeded by least squares from
-    the differentiated identity at zero.  Returns the validity-tagged noise
-    CF and the finite-difference sup residual of the identity.
+    A conditional mean h(u) = b_0 + b_1 u forces the product G = F_X * F_Z to
+    satisfy b_0 G - i b_1 G' = -i F_X' G / F_X (the transform of the Bayes
+    identity f_U h = (x f_X) * f_Z), whose solution with G(0) = 1 is
+    G = F_X^(1/b_1) exp(-i b_0 omega / b_1): the linearity condition of
+    Akyol, Viswanatha and Rose.  G is built in closed form with ``cf_power``
+    and divided by F_X with ``cf_divide``, which zeroes the quotient where
+    |F_X| < 1e-6.  Returns the validity-tagged noise CF and the
+    finite-difference sup residual of the identity, taken up to the first
+    frequency where |F_X| < 1e-6.  ``cf_of`` checks the source against the
+    grid, so a grid too narrow for it raises ``GridTooNarrow``.
 
-    The recovered CF is truncated where |F_X| < 1e-6: beyond that the
-    division amplifies integration error without bound.  Solutions exceeding
-    |G| > 10 raise ``UnstableIntegration``.
+    Trailing zero coefficients are trimmed.  A zero or constant estimator,
+    or a slope b_1 <= 0, raises ``UnstableIntegration``; degree 2 and above
+    raise ``ValueError``.
     """
-    from scipy.integrate import solve_ivp
-
     b = np.asarray(estimator_coeffs, dtype=float)
-    if len(b) - 1 > _ODE_ORDER_CAP:
-        raise ValueError(f"estimator degree capped at {_ODE_ORDER_CAP}")
     if not np.any(np.abs(b) > 1e-14):
         raise UnstableIntegration(
             "estimator is identically zero: no additive-noise channel of "
             "finite power is consistent with it")
-    order = int(np.max(np.nonzero(np.abs(b) > 1e-14)[0]))
-    if order == 0:
+    b = b[:int(np.max(np.nonzero(np.abs(b) > 1e-14)[0])) + 1]
+    if len(b) == 1:
         raise UnstableIntegration("constant estimator admits no noise CF")
-    b = b[:order + 1]
+    if len(b) > 2:
+        raise ValueError("estimator degree capped at 1")
+    if b[1] <= 0:
+        raise UnstableIntegration(
+            f"estimator slope {b[1]:g} is not positive: under independent "
+            "additive noise the slope is var(X) / var(U) > 0")
 
     if grid is None:
         grid = default_grid(source, source.scaled(2.0))
-    fx_vals = source.cf_at(grid.omega)
-    dfx_vals = _cf_derivative_values(source, grid)
+    fx = cf_of(source, grid)
+    g = cf_power(fx, 1.0 / b[1])
+    if b[0] != 0.0:
+        g = replace(g, values=g.values * np.exp(-1j * (b[0] / b[1]) * grid.omega))
+    cf = check_validity(cf_divide(g, fx, _CF_RATIO_FLOOR))
+
     n = grid.num_points
-    wpos = grid.omega[n // 2:]
-    half_fx = fx_vals[n // 2:]
-    half_dfx = dfx_vals[n // 2:]
-    alive = np.abs(half_fx) >= _CF_RATIO_FLOOR
-    cut = int(np.argmin(alive)) if not alive.all() else len(wpos)
-    w_end = wpos[cut - 1]
-
-    step = 1e-5
-
-    def r_at(om):
-        # F'/F evaluated on demand; central difference of F itself avoids
-        # both grid-interpolation error and complex-log branch trouble
-        pts = np.array([om + step, om - step, om])
-        fp, fm, f0 = source.cf_at(pts)
-        return (fp - fm) / (2 * step * f0)
-
-    m_top = (-1j) ** order * b[order]
-
-    def rhs(om, y):
-        g = y[:order] + 1j * y[order:]
-        top = -1j * r_at(om) * g[0]
-        for m in range(1, order):
-            top = top - b[m] * (-1j) ** m * g[m]
-        dg = np.empty(order, dtype=complex)
-        dg[:-1] = g[1:]
-        dg[-1] = top / m_top
-        return np.concatenate([dg.real, dg.imag])
-
-    y0 = np.zeros(2 * order)
-    y0[0] = 1.0  # G(0) = 1 (unit mass); G'(0) = 0 (zero mean)
-    if order >= 3:
-        seeds = _seed_higher_derivatives(source, b, order)
-        y0[2:order] = seeds.real
-        y0[order + 2:2 * order] = seeds.imag
-
-    sol = solve_ivp(rhs, [0.0, w_end], y0, t_eval=wpos[:cut],
-                    rtol=1e-11, atol=1e-14, method="RK45")
-    if not sol.success:
-        raise UnstableIntegration(f"marching failed: {sol.message}")
-    g_half = np.zeros(len(wpos), dtype=complex)
-    g_half[:cut] = sol.y[0] + 1j * sol.y[order]
-    if not np.all(np.isfinite(g_half)) or float(np.max(np.abs(g_half))) > _MARCH_BOUND:
-        raise UnstableIntegration("marched solution left |G| <= "
-                                  f"{_MARCH_BOUND:g}")
-
-    fz_half = np.zeros(len(wpos), dtype=complex)
-    fz_half[:cut] = g_half[:cut] / half_fx[:cut]
-    vals = np.empty(n, dtype=complex)
-    vals[n // 2:] = fz_half
-    vals[1:n // 2] = np.conj(fz_half[1:][::-1])
-    vals[0] = 0.0 if cut < len(wpos) else np.conj(fz_half[-1])
-    cf = check_validity(CharacteristicFunction(
-        grid, vals, truncated=cut < len(wpos)))
-
-    residual = _identity_residual(b, g_half[:cut], half_dfx[:cut],
-                                  fz_half[:cut], grid.domega)
+    dfx = 1j * _density_to_cf_values(grid.x * source.pdf_on(grid), grid)
+    dead = np.abs(fx.values[n // 2:]) < _CF_RATIO_FLOOR
+    cut = n // 2 + (int(np.argmax(dead)) if dead.any() else n // 2)
+    residual = _identity_residual(b, g.values[n // 2:cut], dfx[n // 2:cut],
+                                  cf.values[n // 2:cut], grid.domega)
     return cf, residual
 
 
-def _seed_higher_derivatives(source: DistributionModel, b, order: int):
-    """Initial G''(0).. from the differentiated identity at zero.
-
-    E[U h(U)] = var(X) pins one linear relation on the output moments; the
-    unknown noise moments are taken as the least-norm solution.  Heuristic by
-    construction: the identity underdetermines them for orders 3 and 4.
-    """
-    from .distributions import moments
-    mx = moments(source, order + 2)
-    # E[U^k] = sum_j C(k,j) mz_j mx_{k-j}; unknown noise moments mz_2.. enter
-    # linearly through E[U h(U)] = var(X)
-    nz = order
-    a_row = np.zeros(nz)
-    rhs = source.variance
-    for m in range(1, order + 1):
-        if abs(b[m]) < 1e-14:
-            continue
-        k = m + 1
-        rhs -= b[m] * mx[k]
-        for j in range(2, k + 1):
-            a_row[j - 2] += b[m] * math.comb(k, j) * mx[k - j]
-    sol, *_ = np.linalg.lstsq(a_row[None, :], np.array([rhs]), rcond=None)
-    mz = np.concatenate([[1.0, 0.0], sol])
-    out = np.zeros(order - 2, dtype=complex)
-    for m in range(2, order):
-        mu_m = sum(math.comb(m, j) * mx[j] * mz[m - j] for j in range(m + 1))
-        out[m - 2] = (1j) ** m * mu_m
-    return out
-
-
 def _identity_residual(b, g, dfx, fz, domega) -> float:
-    """Finite-difference sup residual of the recovery identity."""
-    order = len(b) - 1
-    deriv = g.copy()
-    total = b[0] * g
-    for m in range(1, order + 1):
-        deriv = np.gradient(deriv, domega)
-        total = total + b[m] * (-1j) ** m * deriv
-    resid = total + 1j * dfx * fz
-    k = max(2 * order, 2)
-    inner = resid[k:-k] if len(resid) > 2 * k else resid
+    """Finite-difference sup residual of b_0 G - i b_1 G' + i F_X' F_Z = 0,
+    two samples in from each end."""
+    resid = b[0] * g - 1j * b[1] * np.gradient(g, domega) + 1j * dfx * fz
+    inner = resid[2:-2] if len(resid) > 4 else resid
     return float(np.max(np.abs(inner))) if len(inner) else float("nan")

@@ -319,6 +319,17 @@ def test_nonfinite_samples_fail_battery_first(cf, omega):
     assert str(err.value) == got.reason
 
 
+@pytest.mark.parametrize("cf, error", [
+    (_gaussian_cf_with({128: 0.9}), ValueError),
+    (_gaussian_cf_with({140: 0.5 + 0.1j}), NotHermitian),
+], ids=["cf0", "hermitian"])
+def test_density_from_cf_raises_the_battery_reason(cf, error):
+    reason = jl.check_validity(cf).reason
+    with pytest.raises(error) as err:
+        jl.density_from_cf(cf)
+    assert type(err.value) is error and str(err.value) == reason
+
+
 # -- curvature variance -------------------------------------------------------------
 
 

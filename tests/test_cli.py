@@ -91,11 +91,16 @@ def _with_source(**fields):
     ({"task": "mmse", "order": 40}, "run", "'order'"),
     ({"task": "mmse", "order": 12}, "run", "'order'"),
     ({}, "run --grid-points 0", "num_points must be"),
+    ({"game": _with_source(family="tabulated", path="missing.csv")}, "run",
+     "missing.csv"),
+    ({"task": "worst_noise", "seed": 1, "mixture_components": 5}, "run",
+     "'mixture_components'"),
 ], ids=["family", "list-spec", "variance", "seed", "order", "num-points",
         "trials", "betas", "sweep-values", "grid", "p-values-type",
         "p-values-range", "mixture-components", "betas-sign",
         "betas-order", "num-points-range", "half-width-sign", "grid-zeros",
-        "rho-range", "order-range", "order-ill-conditioned", "grid-points-flag"])
+        "rho-range", "order-range", "order-ill-conditioned", "grid-points-flag",
+        "tabulated-missing-file", "mixture-components-cap"])
 def test_malformed_field_is_a_config_error(tmp_path, capsys, overrides,
                                            command, field):
     if isinstance(overrides, dict):
@@ -110,6 +115,17 @@ def test_malformed_field_is_a_config_error(tmp_path, capsys, overrides,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err, err
+
+
+@pytest.mark.parametrize("table", ["x\n-1.0\n0.0\n", "x,f\n0.0,1.0\n"],
+                         ids=["one-column", "one-row"])
+def test_short_table_is_a_config_error(tmp_path, capsys, table):
+    (tmp_path / "one.csv").write_text(table)
+    path = write_spec(tmp_path, game=_with_source(family="tabulated",
+                                                  path="one.csv"))
+    assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "one.csv" in err, err
 
 
 # -- CSV bytes ---------------------------------------------------------------------

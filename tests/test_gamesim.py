@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import jamlab as jl
+from jamlab import gamesim
 from jamlab.errors import GridTooNarrow, InvalidProfile, PowerViolation
 from jamlab.gamesim import (CorrelatedJammer, CurveDecoder,
                             DeterministicEncoder, IndependentNoise,
@@ -147,6 +148,17 @@ def test_curve_values_must_match_grid(cls, size):
     g = jl.GridSpec(half_width=1.0, num_points=64)
     with pytest.raises(ValueError, match="shape must match the grid"):
         cls(g, np.zeros(size))
+
+
+def test_unknown_decoder_is_refused_before_sampling(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("sampled before the decoder was checked")
+
+    monkeypatch.setattr(gamesim, "_rng", no_draws)
+    profile = StrategyProfile(RandomizedLinear(0.5),
+                              IndependentNoise(jl.gaussian(1.0)), "linear")
+    with pytest.raises(InvalidProfile, match="unknown decoder"):
+        simulate(UNIT_CFG, profile, 10_000, seed=1)
 
 
 def test_bad_bernoulli_parameter():

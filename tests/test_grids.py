@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jamlab import GridSpec
+from jamlab.grids import read_only_copy
 
 
 def test_basic_layout():
@@ -75,3 +76,26 @@ def test_lookup_propagates_nan(n, L):
     out = g.lookup(np.array([np.nan, 0.0, np.nan]), values)
     assert np.isnan(out[0]) and np.isnan(out[2])
     assert out[1] == values[n // 2]
+
+
+def test_grid_equality_and_hash():
+    g = GridSpec(half_width=8.0, num_points=256)
+    same = GridSpec(half_width=8.0, num_points=256)
+    assert g == same and hash(g) == hash(same)
+    assert g != GridSpec(half_width=9.0, num_points=256)
+    assert g != GridSpec(half_width=8.0, num_points=512)
+    table = {g: "a"}
+    assert table[same] == "a"
+    assert GridSpec(half_width=8.0, num_points=512) not in table
+    assert g != (8.0, 256) and g != "grid" and g != None
+
+
+def test_read_only_copy_detaches_and_checks_length():
+    src = np.arange(4.0)
+    a = read_only_copy(src, complex, 4)
+    src[0] = 9.0
+    assert a.dtype == complex and a[0] == 0.0
+    with pytest.raises(ValueError):
+        a[1] = 1.0
+    with pytest.raises(ValueError, match="shape must match the grid"):
+        read_only_copy(src, float, 5)

@@ -226,6 +226,12 @@ def test_mixture_family_needs_a_component(k):
         GaussianMixtureFamily(k)
 
 
+def test_mixture_family_is_capped_at_four_components():
+    assert GaussianMixtureFamily(4).parameter_count == 11
+    with pytest.raises(ValueError, match="k=5"):
+        GaussianMixtureFamily(5)
+
+
 @pytest.mark.parametrize("argument", ["restarts", "maxfev"])
 def test_search_rejects_empty_restart_budget(argument):
     with pytest.raises(ValueError, match=argument):
@@ -508,11 +514,49 @@ def test_degree_cap():
         noise_from_estimator(jl.gaussian(1.0), [0.0, 0.5, 0.0, 0.0, 0.0, 0.1])
 
 
-def test_cubic_term_blowup_is_guarded():
-    # a small cubic coefficient makes the marched third-order system stiff;
-    # the |G| guard reports it instead of returning garbage
-    with pytest.raises(UnstableIntegration):
-        noise_from_estimator(jl.gaussian(1.0), [0.0, 0.45, 0.0, 0.02])
+@pytest.mark.parametrize("coeffs", [[0.0, 0.5, 0.1], [0.0, 0.45, 0.0, 0.02],
+                                    [0.0, 0.5, 0.0, 0.0, 0.1]],
+                         ids=["degree-2", "degree-3", "degree-4"])
+def test_degrees_two_to_four_are_refused(coeffs):
+    with pytest.raises(ValueError, match="estimator degree capped at 1"):
+        noise_from_estimator(jl.gaussian(1.0), coeffs)
+
+
+@pytest.mark.parametrize("slope", [-0.5, -2.0])
+def test_nonpositive_slope_is_inconsistent(slope):
+    with pytest.raises(UnstableIntegration, match=f"slope {slope:g}"):
+        noise_from_estimator(jl.gaussian(1.0), [0.1, slope])
+
+
+@pytest.mark.parametrize("source", [jl.gaussian(1.0), jl.laplace(1.0)],
+                         ids=["gaussian", "laplace"])
+@pytest.mark.parametrize("slope", [0.25, 0.5, 2.0 / 3.0])
+def test_linear_estimator_noise_is_the_closed_form_power(source, slope):
+    # h(u) = b_1 u pins F_Z to F_X^(1/b_1 - 1)
+    cf, _ = noise_from_estimator(source, [0.0, slope])
+    fx = jl.cf_of(source, cf.grid)
+    keep = np.abs(fx.values) > 1e-6
+    want = jl.cf_power(fx, 1.0 / slope).values[keep] / fx.values[keep]
+    assert np.max(np.abs(cf.values[keep] - want)) < 1e-12
+
+
+def test_intercept_shifts_the_recovered_noise():
+    # h(u) = 0.1 + 0.5 u on a Laplace source: Z has the source's law,
+    # shifted by -b_0 / b_1 = -0.2
+    source = jl.laplace(1.0)
+    cf, _ = noise_from_estimator(source, [0.1, 0.5])
+    fx = source.cf_at(cf.grid.omega)
+    keep = np.abs(fx) > 1e-6
+    want = fx[keep] * np.exp(-0.2j * cf.grid.omega[keep])
+    assert np.max(np.abs(cf.values[keep] - want)) < 1e-12
+
+
+def test_uniform_source_recovers_uniform_noise():
+    # the sinc CF has zeros, where F_X'/F_X is singular
+    source = jl.uniform(1.0)
+    cf, _ = noise_from_estimator(source, [0.0, 0.5])
+    assert cf.validity == "valid"
+    assert np.max(np.abs(cf.values - source.cf_at(cf.grid.omega))) < 1e-12
 
 
 def test_trailing_zero_coefficients_are_trimmed():
