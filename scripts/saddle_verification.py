@@ -6,8 +6,8 @@ import argparse
 
 import jamlab as jl
 from jamlab.gamesim import (CorrelatedJammer, bernoulli_exploit_check,
-                            saddle_profile, simulate, verify_lhs_inequality,
-                            verify_rhs_inequality)
+                            default_lhs_jammers, saddle_profile, simulate,
+                            verify_lhs_inequality, verify_rhs_inequality)
 from jamlab.matching import JammingGameConfig
 
 
@@ -36,7 +36,8 @@ def main():
               f"margin={e.margin:+7.1f} SE  {'ok' if e.passed else 'VIOLATED'}")
 
     print("\njammer deviations (must not exceed the saddle value):")
-    for e in verify_lhs_inequality(cfg, args.trials, args.seed).entries:
+    jammers = default_lhs_jammers(cfg, args.rho)
+    for e in verify_lhs_inequality(cfg, args.trials, args.seed, jammers).entries:
         print(f"  {e.label:<22} cost={e.outcome.empirical_cost:.6f} "
               f"margin={e.margin:+7.1f} SE  {'ok' if e.passed else 'VIOLATED'}")
 

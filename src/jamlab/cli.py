@@ -7,7 +7,8 @@ are byte-identical.  Numeric CSV columns carry 17 significant digits so
 reproducibility checks can compare files bitwise.
 
 Exit codes: 0 success (a no-match verdict is a finding, not an error),
-1 configuration error, 2 deviation-assertion failure.
+1 configuration or other typed library error (``JamlabError``, printed as one
+``error: ...`` line), 2 deviation-assertion failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,8 @@ from .distributions import (DistributionModel, default_grid, gaussian,
 from .errors import ConfigError, IllConditioned, JamlabError
 from .estimation import mmse_estimator, output_density
 from .gamesim import (MIN_TRIALS, CorrelatedJammer, bernoulli_exploit_check,
-                      saddle_profile, simulate, verify_lhs_inequality,
-                      verify_rhs_inequality)
+                      default_lhs_jammers, saddle_profile, simulate,
+                      verify_lhs_inequality, verify_rhs_inequality)
 from .grids import GridSpec
 from .matching import (JammingGameConfig, asymptotic_gaussianization,
                        gaussian_source_limit_check, synthesize_jammer)
@@ -97,7 +99,9 @@ def build_model(spec: dict, base_dir: Path) -> DistributionModel:
     if family == "tabulated":
         path = base_dir / _require(spec, "path", "tabulated distribution")
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():  # a header-only file fails the shape check
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except OSError as exc:
             raise ConfigError(f"tabulated density file {path}: "
                               f"{exc.strerror or 'not found'}") from None
@@ -125,9 +129,7 @@ def build_game(game: dict, base_dir: Path) -> JammingGameConfig:
             power_tx=_num(_require(game, "power_tx", "game"), "power_tx"),
             power_jam=_num(_require(game, "power_jam", "game"), "power_jam"),
         )
-    except (ValueError, JamlabError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -232,8 +234,8 @@ def _task_match(spec, cfg, grid, out_dir, strict_paper):
 def _task_saddle(spec, cfg, grid, out_dir, strict_paper):
     trials = _trials(spec)
     match = synthesize_jammer(cfg, grid)
-    profile = saddle_profile(cfg, match.jammer_density if match.matched else None,
-                             strict_paper=strict_paper)
+    jammer = match.jammer_density if match.matched else gaussian(cfg.power_jam)
+    profile = saddle_profile(cfg, jammer, strict_paper=strict_paper)
     outcome = simulate(cfg, profile, trials, _num(spec["seed"], "seed", int))
     outputs = {
         "jammer": "matched" if match.matched else "gaussian-fallback",
@@ -255,8 +257,11 @@ def _task_deviate(spec, cfg, grid, out_dir, strict_paper):
     p_values = _numbers(spec.get("p_values", [0.5, 1.0]), "p_values")
     if not all(0.0 <= p <= 1.0 for p in p_values):
         raise ConfigError(f"field 'p_values' must lie in [0, 1], got {p_values}")
-    rhs = verify_rhs_inequality(cfg, trials, seed)
-    lhs = verify_lhs_inequality(cfg, trials, seed)
+    match = synthesize_jammer(cfg, grid)
+    if not match.matched:
+        raise ConfigError(f"task 'deviate' needs a matching jammer: {match.reason}")
+    rhs = verify_rhs_inequality(cfg, trials, seed, jammer_model=match.jammer_density)
+    lhs = verify_lhs_inequality(cfg, trials, seed, jammers=default_lhs_jammers(cfg, rho))
     exploit = bernoulli_exploit_check(
         cfg, p_values, CorrelatedJammer(rho, gaussian(cfg.power_jam)),
         trials, seed)
@@ -326,28 +331,28 @@ def _task_worst_noise(spec, cfg, grid, out_dir, strict_paper):
 def _task_asymptotic(spec, cfg, grid, out_dir, strict_paper):
     betas = _numbers(spec.get("betas"), "betas")
     direction = spec.get("direction", "low_csnr")
-    steps = {"low_csnr": np.diff(betas), "high_csnr": -np.diff(betas)}
-    if direction in steps and not (min(betas) > 0 and np.all(steps[direction] > 0)):
-        order = "increasing" if direction == "low_csnr" else "decreasing"
-        raise ConfigError(f"field 'betas' must be positive and {order} for "
-                          f"{direction}, got {betas}")
+    if direction not in ("low_csnr", "high_csnr"):
+        raise ConfigError(f"unknown direction '{direction}'")
+    try:  # the schedule check is the only ValueError either function raises
+        if direction == "low_csnr":
+            out = asymptotic_gaussianization(cfg.source, betas, grid)
+        else:
+            out = gaussian_source_limit_check(cfg.channel_noise, betas, grid,
+                                              power_jam=cfg.power_jam)
+    except ValueError as exc:
+        raise ConfigError(f"field 'betas' for {direction}: {exc}") from None
     if direction == "low_csnr":
-        out = asymptotic_gaussianization(cfg.source, betas, grid)
         _write_csv(out_dir / f"{spec['name']}_asymptotic.csv",
                    ["beta", "gaussian_distance"], list(zip(*out)))
         outputs = {"direction": direction,
                    "distances": [{"beta": b, "distance": d} for b, d in out]}
-    elif direction == "high_csnr":
-        out = gaussian_source_limit_check(cfg.channel_noise, betas, grid,
-                                          power_jam=cfg.power_jam)
+    else:
         fams = sorted(out[0][1])
         _write_csv(out_dir / f"{spec['name']}_asymptotic.csv",
                    ["beta"] + [f"distance_{f}" for f in fams],
                    [[b for b, _ in out]] + [[r[f] for _, r in out] for f in fams])
         outputs = {"direction": direction,
                    "distances": [dict(beta=b, **row) for b, row in out]}
-    else:
-        raise ConfigError(f"unknown direction '{direction}'")
     return 0, outputs, grid
 
 
@@ -503,7 +508,7 @@ def main(argv=None) -> int:
                            args.seed)
         return sweep(spec, args.param, values, Path(args.out),
                      strict_paper=args.strict_paper)
-    except ConfigError as exc:
+    except JamlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,6 +49,13 @@ def convolve_tables(f: np.ndarray, g: np.ndarray, grid: GridSpec) -> np.ndarray:
     return fftconvolve(f, g)[n // 2: n // 2 + n] * grid.dx
 
 
+def _check_tails(grid: GridSpec, *models: DistributionModel) -> None:
+    """GridTooNarrow where a model has 1e-10 or more of its mass off the grid."""
+    for d in models:
+        if d.tail_mass_outside(grid.half_width) >= 1e-10:
+            raise GridTooNarrow("component tail mass exceeds 1e-10 on this grid")
+
+
 def _bayes_ratio(fx: np.ndarray, fz: np.ndarray, grid: GridSpec):
     num = convolve_tables(grid.x * fx, fz, grid)
     den = convolve_tables(fx, fz, grid)
@@ -96,12 +103,9 @@ def mmse_estimator(source: DistributionModel, noise: DistributionModel,
     """
     if grid is None:
         grid = default_grid(source, noise)
-    for d in (source, noise):
-        if d.tail_mass_outside(grid.half_width) >= 1e-10:
-            raise GridTooNarrow("component tail mass exceeds 1e-10 on this grid")
+    _check_tails(grid, source, noise)
     fx = source.pdf_on(grid)
-    fz = noise.pdf_on(grid)
-    h, fu = _bayes_ratio(fx, fz, grid)
+    h, fu = _bayes_ratio(fx, noise.pdf_on(grid), grid)
     eh2 = float(np.sum(h * h * fu) * grid.dx)
     # the table's own second moment, so the orthogonality identity and the
     # direct squared-error quadrature agree in the same discrete measure
@@ -161,9 +165,7 @@ def distortion_of(source: DistributionModel, noise: DistributionModel,
     if grid is None:
         grid = estimator.grid if isinstance(estimator, EstimatorCurve) \
             else default_grid(source, noise)
-    for d in (source, noise):
-        if d.tail_mass_outside(grid.half_width) >= 1e-10:
-            raise GridTooNarrow("component tail mass exceeds 1e-10 on this grid")
+    _check_tails(grid, source, noise)
     n = grid.num_points
     if isinstance(estimator, EstimatorCurve):
         if estimator.grid != grid:

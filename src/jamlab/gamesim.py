@@ -34,6 +34,7 @@ _DECODER_POINTS = 4096  # u-grid points of a conditional-mean decoder
 _TAIL_MASS = 5e-11  # source mass per tail a conditional-mean decoder may leave out
 MIN_TRIALS = 10_000
 _POWER_RTOL = 1e-3
+_SIGMA_GATE = 4.0  # standard errors a deviation may sit past the saddle cost
 _STREAM_X, _STREAM_GAMMA, _STREAM_Z, _STREAM_N = 0, 1, 2, 3
 
 
@@ -378,12 +379,11 @@ def companding_encoders(cfg: JammingGameConfig,
 
 def verify_rhs_inequality(cfg: JammingGameConfig, trials: int, seed: int,
                           encoders: list[DeterministicEncoder] | None = None,
-                          jammer_model: DistributionModel | None = None,
-                          sigma_gate: float = 4.0) -> DeviationReport:
+                          jammer_model: DistributionModel | None = None) -> DeviationReport:
     """No encoder deviation beats the saddle value against the matched jammer.
 
     Each candidate encoder is decoded by its own conditional-mean decoder and
-    must score at least the saddle cost minus ``sigma_gate`` standard errors.
+    must score at least the saddle cost minus ``_SIGMA_GATE`` standard errors.
     """
     if jammer_model is None:
         result = synthesize_jammer(cfg)
@@ -398,7 +398,7 @@ def verify_rhs_inequality(cfg: JammingGameConfig, trials: int, seed: int,
         decoder = mmse_decoder_for_encoder(cfg, enc, jammer_model)
         profile = StrategyProfile(enc, IndependentNoise(jammer_model), decoder)
         outcome = simulate(cfg, profile, trials, seed)
-        bound = cfg.saddle_cost - sigma_gate * outcome.std_error
+        bound = cfg.saddle_cost - _SIGMA_GATE * outcome.std_error
         entries.append(DeviationEntry(label=enc.label, outcome=outcome,
                                       bound=bound,
                                       passed=outcome.empirical_cost >= bound))
@@ -417,14 +417,13 @@ def default_lhs_jammers(cfg: JammingGameConfig, rho: float = 0.7) -> list[tuple]
 
 
 def verify_lhs_inequality(cfg: JammingGameConfig, trials: int, seed: int,
-                          jammers: list[tuple] | None = None,
-                          sigma_gate: float = 4.0) -> DeviationReport:
+                          jammers: list[tuple] | None = None) -> DeviationReport:
     """No jammer deviation pushes the cost above the saddle value.
 
     The encoder is the symmetric randomized-linear saddle strategy; the
     decoder is the conditional mean given the jammer's actual distribution
     and the shared sign.  Every candidate must score at most the saddle cost
-    plus ``sigma_gate`` standard errors.
+    plus ``_SIGMA_GATE`` standard errors.
     """
     if jammers is None:
         jammers = default_lhs_jammers(cfg)
@@ -432,7 +431,7 @@ def verify_lhs_inequality(cfg: JammingGameConfig, trials: int, seed: int,
     for label, jam in jammers:
         profile = StrategyProfile(RandomizedLinear(0.5), jam, MmseGivenProfile())
         outcome = simulate(cfg, profile, trials, seed)
-        bound = cfg.saddle_cost + sigma_gate * outcome.std_error
+        bound = cfg.saddle_cost + _SIGMA_GATE * outcome.std_error
         entries.append(DeviationEntry(label=label, outcome=outcome, bound=bound,
                                       passed=outcome.empirical_cost <= bound))
     return DeviationReport(side="jammer", entries=tuple(entries))

@@ -23,6 +23,8 @@ from .distributions import DistributionModel, default_grid, gaussian, laplace, u
 from .errors import PreconditionViolated
 from .grids import GridSpec
 
+_IDENTICAL_TOL = 1e-6  # sup CF distance of the identical-distribution check
+
 
 @dataclass(frozen=True)
 class JammingGameConfig:
@@ -142,8 +144,7 @@ def synthesize_jammer(cfg: JammingGameConfig, grid: GridSpec | None = None,
 
 
 def identical_distribution_check(cfg: JammingGameConfig,
-                                 grid: GridSpec | None = None,
-                                 tol: float = 1e-6) -> bool:
+                                 grid: GridSpec | None = None) -> bool:
     """Check the equal-everything special case: jammer reproduces the source.
 
     Requires source and noise of the same family and variance with
@@ -159,22 +160,30 @@ def identical_distribution_check(cfg: JammingGameConfig,
     if not (same_family and same_var and powers_eq):
         raise PreconditionViolated(
             "identical-distribution check needs X ~ N and P_T = P_A = var_N")
-    if grid is None:
-        grid = cfg.grid_for()
     result = synthesize_jammer(cfg, grid)
     if not result.matched:
         return False
-    want = cf_of(cfg.source.scaled(cfg.alpha_t), grid)
-    return sup_distance(result.jammer_cf, want) < tol
+    want = cf_of(cfg.source.scaled(cfg.alpha_t), result.jammer_cf.grid)
+    return sup_distance(result.jammer_cf, want) < _IDENTICAL_TOL
 
 
-def _normalized_power_distance(dist: DistributionModel, beta: float,
-                               grid: GridSpec, target: np.ndarray) -> float:
-    """Sup distance between the variance-normalized beta-fold self-convolution
-    CF and ``target``, the standard Gaussian CF on the grid."""
-    scale = math.sqrt(beta * dist.variance)
-    base = CharacteristicFunction(grid, dist.cf_at(grid.omega / scale))
-    return float(np.max(np.abs(cf_power(base, beta).values - target)))
+def _beta_schedule(beta_schedule, increasing: bool) -> list:
+    """The betas; ValueError unless finite, positive and strictly monotone."""
+    betas = list(beta_schedule)
+    sign = 1.0 if increasing else -1.0
+    if not (all(math.isfinite(b) and b > 0 for b in betas)
+            and all(sign * (b2 - b1) > 0 for b1, b2 in zip(betas, betas[1:]))):
+        order = "increasing" if increasing else "decreasing"
+        raise ValueError(f"beta schedule must be finite, positive and {order}, got {betas}")
+    return betas
+
+
+def _gaussian_distance(cf_at, scale: float, exponent: float, grid: GridSpec) -> float:
+    """sup |F(omega / scale) ** exponent - exp(-omega^2 / 2)| on the grid, the
+    power branch-tracked by ``cf_power``."""
+    base = CharacteristicFunction(grid, cf_at(grid.omega / scale))
+    target = np.exp(-grid.omega**2 / 2.0)
+    return float(np.max(np.abs(cf_power(base, exponent).values - target)))
 
 
 def asymptotic_gaussianization(source: DistributionModel, beta_schedule,
@@ -183,16 +192,13 @@ def asymptotic_gaussianization(source: DistributionModel, beta_schedule,
 
     The central limit theorem drives these to zero as beta grows, which is
     what makes Gaussian jamming asymptotically optimal over a Gaussian
-    channel at low channel SNR.  Betas must be increasing and positive;
-    monotone decrease of the distances is asserted by callers.
+    channel at low channel SNR.  Betas must be finite, positive and
+    increasing; monotone decrease of the distances is asserted by callers.
     """
-    betas = list(beta_schedule)
-    if any(b <= 0 for b in betas) or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("beta schedule must be positive and increasing")
+    betas = _beta_schedule(beta_schedule, increasing=True)
     if grid is None:
         grid = default_grid(gaussian(1.0))
-    target = np.exp(-grid.omega**2 / 2.0)
-    return [(b, _normalized_power_distance(source, b, grid, target))
+    return [(b, _gaussian_distance(source.cf_at, math.sqrt(b * source.variance), b, grid))
             for b in betas]
 
 
@@ -206,25 +212,16 @@ def gaussian_source_limit_check(noise: DistributionModel, beta_schedule,
     the central limit theorem again forces Gaussianity, so any jammer shape
     becomes asymptotically optimal when the source is Gaussian.
     """
-    betas = list(beta_schedule)
-    if any(b <= 0 for b in betas) or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("beta schedule must be positive and decreasing")
+    betas = _beta_schedule(beta_schedule, increasing=False)
     if grid is None:
         grid = default_grid(gaussian(1.0))
-    jammers = {
-        "gaussian": gaussian(power_jam),
-        "laplace": laplace(power_jam),
-        "uniform": uniform(power_jam),
-    }
-    target = np.exp(-grid.omega**2 / 2.0)
+    totals = {name: lambda w, jam=jam: jam.cf_at(w) * noise.cf_at(w)  # CF of Z + N
+              for name, jam in (("gaussian", gaussian(power_jam)),
+                                ("laplace", laplace(power_jam)),
+                                ("uniform", uniform(power_jam)))}
     out = []
     for b in betas:
         scale = math.sqrt((power_jam + noise.variance) / b)
-        row = {}
-        for name, jam in jammers.items():
-            vals = jam.cf_at(grid.omega / scale) * noise.cf_at(grid.omega / scale)
-            prod = CharacteristicFunction(grid, vals)
-            rooted = cf_power(prod, 1.0 / b)
-            row[name] = float(np.max(np.abs(rooted.values - target)))
-        out.append((b, row))
+        out.append((b, {name: _gaussian_distance(cf, scale, 1.0 / b, grid)
+                        for name, cf in totals.items()}))
     return out

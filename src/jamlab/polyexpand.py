@@ -32,14 +32,13 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy import fft as sfft
 
-from .charfun import (_density_to_cf_values, cf_divide, cf_of, cf_power,
-                      check_validity)
+from .charfun import cf_divide, cf_of, cf_power, check_validity
 from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
 from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
                      UnstableIntegration)
-from .estimation import (_DENSITY_FLOOR, _floored_ratio, mmse_estimator,
-                         output_density)
+from .estimation import (_DENSITY_FLOOR, _bayes_ratio, _check_tails,
+                         _floored_ratio, mmse_estimator, output_density)
 from .grids import GridSpec, read_only_copy
 
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
@@ -51,6 +50,7 @@ _BARRIER_FLOOR = 1e-6    # barrier weight floor, relative to the start's peak
 _START_FLOOR = 1e-12     # keeps the Gaussian start positive, same units
 _NEWTON_CAP = 300        # Newton steps per barrier parameter
 _CG_CAP = 300            # conjugate-gradient steps per Newton step
+_MIXTURE_RESTARTS = 5    # jittered Nelder-Mead starts of the mixture search
 
 
 # -- orthonormal basis --------------------------------------------------------
@@ -159,16 +159,18 @@ def expansion_coeffs(source: DistributionModel, noise: DistributionModel,
     """c_m = integral of h * P_m weighted by f_U, for the given pair.
 
     The basis must have been built on this pair's output density (checked to
-    1e-8 in sup norm, else ``BasisMismatch``).
+    1e-8 in sup norm, else ``BasisMismatch``); h and f_U come from one Bayes
+    ratio on the basis grid, with ``mmse_estimator``'s tail gate.
     """
     grid = basis.measure.grid
-    fu = output_density(source, noise, grid)
+    fx = source.pdf_on(grid)
+    h, fu = _bayes_ratio(fx, noise.pdf_on(grid), grid)
     if float(np.max(np.abs(fu - basis.measure.table))) > 1e-8:
         raise BasisMismatch("basis measure differs from the pair's output density")
-    curve = mmse_estimator(source, noise, grid)
+    _check_tails(grid, source, noise)
     w = fu * grid.dx
-    c = basis.values @ (curve.values * w)
-    var_table = float(np.sum(grid.x**2 * source.pdf_on(grid)) * grid.dx)
+    c = basis.values @ (h * w)
+    var_table = float(np.sum(grid.x**2 * fx) * grid.dx)
     return ExpansionCoefficients(c=c, mmse_poly=var_table - float(c @ c))
 
 
@@ -209,8 +211,8 @@ class GridTableFamily:
     budget.
 
     Nonparametric, so it holds the matching noise whenever one exists.  The
-    search over it is a deterministic convex solve: ``seed``, ``restarts``
-    and ``maxfev`` do not apply, and the parameter cap does not either.
+    search over it is a deterministic convex solve: ``seed`` and ``maxfev``
+    do not apply, and the parameter cap does not either.
     """
 
 
@@ -452,10 +454,19 @@ def _search_energy(source: DistributionModel, noise_budget: float,
     return grid, _TableEnergy(source.pdf_on(grid), grid)
 
 
+def _mixture_objective(energy: _TableEnergy, k: int, budget: float, grid: GridSpec):
+    """Tail energy of the k-component mixture a parameter vector unpacks to,
+    or inf where it unpacks to none."""
+    def objective(params):
+        got = _unpack_mixture(params, k, budget, 2.0 * grid.dx)
+        return float("inf") if got is None else energy.tail(_mixture_table(*got, grid))[0]
+    return objective
+
+
 def worst_noise_search(source: DistributionModel, noise_budget: float,
                        order: int, family=GaussianMixtureFamily(3), *,
                        grid: GridSpec | None = None, seed: int = 0,
-                       restarts: int = 5, maxfev: int = 2000) -> NoiseSearchResult:
+                       maxfev: int = 2000) -> NoiseSearchResult:
     """Search for the MMSE-maximizing noise at fixed power.
 
     ``GaussianMixtureFamily``: Nelder-Mead simplex with jittered restarts;
@@ -469,9 +480,8 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     """
     _check_family(family)
     parametric = not isinstance(family, GridTableFamily)
-    for name, value in (("restarts", restarts), ("maxfev", maxfev)):
-        if parametric and value < 1:
-            raise ValueError(f"{name} must be at least 1")
+    if parametric and maxfev < 1:
+        raise ValueError("maxfev must be at least 1")
     grid, energy = _search_energy(source, noise_budget, grid)
     if not parametric:
         fz, steps, converged = _grid_table_search(energy, noise_budget, grid)
@@ -479,18 +489,11 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
         return NoiseSearchResult(noise=tabulated(grid, fz), objective=tail,
                                  mmse_attained=mmse, iterations=steps,
                                  converged=converged)
-    sigma_floor = 2.0 * grid.dx
-
-    def objective(params):
-        got = _unpack_mixture(params, family.k, noise_budget, sigma_floor)
-        if got is None:
-            return float("inf")
-        return energy.tail(_mixture_table(*got, grid))[0]
-
+    objective = _mixture_objective(energy, family.k, noise_budget, grid)
     rng = np.random.default_rng(seed)
     best = best_x = None
     total_evals, converged = 0, False
-    for _ in range(restarts):
+    for _ in range(_MIXTURE_RESTARTS):
         x0 = rng.normal(0.0, 0.7, family.parameter_count)
         res = minimize(objective, x0, method="Nelder-Mead",
                        options=dict(maxfev=maxfev, fatol=1e-14, xatol=1e-7))
@@ -502,7 +505,7 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     if best is None or not np.isfinite(best):
         raise InfeasibleFamily("no parameter vector produced a usable density")
 
-    components = _unpack_mixture(best_x, family.k, noise_budget, sigma_floor)
+    components = _unpack_mixture(best_x, family.k, noise_budget, 2.0 * grid.dx)
     tail, mmse = energy.tail(_mixture_table(*components, grid))
     return NoiseSearchResult(noise=gaussian_mixture(*components), objective=tail,
                              mmse_attained=mmse, iterations=total_evals,
@@ -517,14 +520,10 @@ def probe_family(source: DistributionModel, noise_budget: float,
     if isinstance(family, GridTableFamily):
         raise ValueError("probing needs a parametric family")
     grid, energy = _search_energy(source, noise_budget, grid)
+    objective = _mixture_objective(energy, family.k, noise_budget, grid)
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_probes):
-        got = _unpack_mixture(rng.normal(0.0, 0.7, family.parameter_count),
-                              family.k, noise_budget, 2.0 * grid.dx)
-        out.append(float("inf") if got is None
-                   else energy.tail(_mixture_table(*got, grid))[0])
-    return np.array(out)
+    return np.array([objective(rng.normal(0.0, 0.7, family.parameter_count))
+                     for _ in range(n_probes)])
 
 
 # -- noise recovery from a linear estimator -------------------------------------------
@@ -540,10 +539,10 @@ def noise_from_estimator(source: DistributionModel, estimator_coeffs,
     G = F_X^(1/b_1) exp(-i b_0 omega / b_1): the linearity condition of
     Akyol, Viswanatha and Rose.  G is built in closed form with ``cf_power``
     and divided by F_X with ``cf_divide``, which zeroes the quotient where
-    |F_X| < 1e-6.  Returns the validity-tagged noise CF and the
-    finite-difference sup residual of the identity, taken up to the first
-    frequency where |F_X| < 1e-6.  ``cf_of`` checks the source against the
-    grid, so a grid too narrow for it raises ``GridTooNarrow``.
+    |F_X| < 1e-6.  Returns the validity-tagged noise CF and the residual sup
+    |F_X F_Z - G| for omega >= 0 up to the first |F_X| < 1e-6, the round-off
+    of that division.  ``cf_of`` checks the source against the grid, so a
+    grid too narrow for it raises ``GridTooNarrow``.
 
     Trailing zero coefficients are trimmed.  A zero or constant estimator,
     or a slope b_1 <= 0, raises ``UnstableIntegration``; degree 2 and above
@@ -573,17 +572,6 @@ def noise_from_estimator(source: DistributionModel, estimator_coeffs,
     cf = check_validity(cf_divide(g, fx, _CF_RATIO_FLOOR))
 
     n = grid.num_points
-    dfx = 1j * _density_to_cf_values(grid.x * source.pdf_on(grid), grid)
     dead = np.abs(fx.values[n // 2:]) < _CF_RATIO_FLOOR
-    cut = n // 2 + (int(np.argmax(dead)) if dead.any() else n // 2)
-    residual = _identity_residual(b, g.values[n // 2:cut], dfx[n // 2:cut],
-                                  cf.values[n // 2:cut], grid.domega)
-    return cf, residual
-
-
-def _identity_residual(b, g, dfx, fz, domega) -> float:
-    """Finite-difference sup residual of b_0 G - i b_1 G' + i F_X' F_Z = 0,
-    two samples in from each end."""
-    resid = b[0] * g - 1j * b[1] * np.gradient(g, domega) + 1j * dfx * fz
-    inner = resid[2:-2] if len(resid) > 4 else resid
-    return float(np.max(np.abs(inner))) if len(inner) else float("nan")
+    live = slice(n // 2, n // 2 + (int(np.argmax(dead)) if dead.any() else n // 2))
+    return cf, float(np.max(np.abs(fx.values[live] * cf.values[live] - g.values[live])))

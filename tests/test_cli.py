@@ -4,8 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import jamlab as jl
+from jamlab import gamesim
 from jamlab.cli import _write_csv, build_game, derive_quantities, load_spec, main
 from jamlab.errors import ConfigError
+from jamlab.gamesim import (default_lhs_jammers, saddle_profile, simulate,
+                            verify_lhs_inequality)
 from jamlab.matching import synthesize_jammer
 
 
@@ -95,12 +99,13 @@ def _with_source(**fields):
      "missing.csv"),
     ({"task": "worst_noise", "seed": 1, "mixture_components": 5}, "run",
      "'mixture_components'"),
+    ({"task": "asymptotic", "betas": [1, math.inf]}, "run", "'betas'"),
 ], ids=["family", "list-spec", "variance", "seed", "order", "num-points",
         "trials", "betas", "sweep-values", "grid", "p-values-type",
         "p-values-range", "mixture-components", "betas-sign",
         "betas-order", "num-points-range", "half-width-sign", "grid-zeros",
         "rho-range", "order-range", "order-ill-conditioned", "grid-points-flag",
-        "tabulated-missing-file", "mixture-components-cap"])
+        "tabulated-missing-file", "mixture-components-cap", "betas-infinite"])
 def test_malformed_field_is_a_config_error(tmp_path, capsys, overrides,
                                            command, field):
     if isinstance(overrides, dict):
@@ -117,8 +122,9 @@ def test_malformed_field_is_a_config_error(tmp_path, capsys, overrides,
     assert err.startswith("error: ") and field in err, err
 
 
-@pytest.mark.parametrize("table", ["x\n-1.0\n0.0\n", "x,f\n0.0,1.0\n"],
-                         ids=["one-column", "one-row"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("table", ["x\n-1.0\n0.0\n", "x,f\n0.0,1.0\n", "x,f\n"],
+                         ids=["one-column", "one-row", "header-only"])
 def test_short_table_is_a_config_error(tmp_path, capsys, table):
     (tmp_path / "one.csv").write_text(table)
     path = write_spec(tmp_path, game=_with_source(family="tabulated",
@@ -126,6 +132,30 @@ def test_short_table_is_a_config_error(tmp_path, capsys, table):
     assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "one.csv" in err, err
+
+
+_LAPLACE_GAUSSIAN = {
+    "source": {"family": "laplace", "variance": 1.0},
+    "channel_noise": {"family": "gaussian", "variance": 1.0},
+    "power_tx": 1.0, "power_jam": 1.0,
+}
+
+
+@pytest.mark.parametrize("task", ["match", "mmse"])
+def test_grid_too_narrow_is_an_error_line(tmp_path, capsys, task):
+    path = write_spec(tmp_path, task=task, game=_LAPLACE_GAUSSIAN,
+                      grid={"half_width": 3, "num_points": 1024})
+    assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1e-10" in err, err
+
+
+def test_deviate_without_a_matching_jammer_is_an_error_line(tmp_path, capsys):
+    path = write_spec(tmp_path, task="deviate", trials=10_000, seed=1,
+                      game=_LAPLACE_GAUSSIAN)
+    assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: task 'deviate' needs a matching jammer: "), err
 
 
 # -- CSV bytes ---------------------------------------------------------------------
@@ -315,6 +345,52 @@ def test_saddle_task_runs_and_reports(tmp_path):
     assert got["theoretical_cost"] == pytest.approx(2 / 3)
     assert abs(got["z_score"]) < 4
     assert got["jammer"] == "matched"
+
+
+def test_saddle_simulates_the_jammer_of_its_own_grid(tmp_path):
+    # on 8192 points this game has no matching jammer, on the default grid it
+    # has one; the run must simulate the jammer its verdict reports
+    game = {"source": {"family": "uniform", "variance": 1.0},
+            "channel_noise": {"family": "rademacher", "sigma": 1.0},
+            "power_tx": 0.3, "power_jam": 10.0}
+    path = write_spec(tmp_path, task="saddle", trials=10_000, seed=1, game=game)
+    out = tmp_path / "results"
+    assert main(["run", str(path), "--out", str(out), "--grid-points", "8192"]) == 0
+    got = json.loads((out / "unit-gauss_result.json").read_text())["outputs"]
+    cfg = build_game(game, tmp_path)
+    want = simulate(cfg, saddle_profile(cfg, jl.gaussian(10.0)), 10_000, 1)
+    assert got["jammer"] == "gaussian-fallback"
+    assert got["empirical_cost"] == want.empirical_cost
+
+
+@pytest.mark.parametrize("task, game", [("saddle", _LAPLACE_GAUSSIAN),
+                                        ("deviate", _UNIT_GAME)])
+def test_one_jammer_synthesis_per_run(tmp_path, monkeypatch, task, game):
+    import jamlab.cli as cli
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synthesize_jammer(*args, **kwargs)
+
+    for module in (cli, gamesim):
+        monkeypatch.setattr(module, "synthesize_jammer", counted)
+    path = write_spec(tmp_path, task=task, trials=10_000, seed=1, game=game)
+    assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 0
+    assert len(calls) == 1
+
+
+def test_deviate_rho_sets_the_correlated_jammer(tmp_path):
+    path = write_spec(tmp_path, task="deviate", trials=10_000, seed=1, rho=0.3)
+    out = tmp_path / "results"
+    main(["run", str(path), "--out", str(out)])
+    entries = json.loads((out / "unit-gauss_result.json").read_text())["outputs"]["entries"]
+    cfg = build_game(_UNIT_GAME, tmp_path)
+    want = verify_lhs_inequality(cfg, 10_000, 1,
+                                 jammers=default_lhs_jammers(cfg, 0.3)).entries[-1]
+    got = entries[-1]
+    assert got["label"] == want.label == "correlated rho=0.3"
+    assert got["cost"] == want.outcome.empirical_cost
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -233,6 +233,14 @@ def test_schedule_validation():
         gaussian_source_limit_check(jl.laplace(1.0), [0.25, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_schedule_rejects_non_finite_betas(bad):
+    with pytest.raises(ValueError, match="beta schedule must be finite"):
+        asymptotic_gaussianization(jl.laplace(1.0), [1.0, bad])
+    with pytest.raises(ValueError, match="beta schedule must be finite"):
+        gaussian_source_limit_check(jl.laplace(1.0), [bad, 1.0])
+
+
 def test_gaussian_source_limit_decreasing():
     out = gaussian_source_limit_check(jl.laplace(1.0), [1.0, 0.25, 0.0625])
     for fam in ("gaussian", "laplace", "uniform"):

