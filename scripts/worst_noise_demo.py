@@ -17,7 +17,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--budget", type=float, default=1.0)
     parser.add_argument("--components", type=int, default=3)
-    parser.add_argument("--order", type=int, default=6)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -32,8 +31,9 @@ def main():
     print(f"{'source':<12}{'objective':>12}{'mmse':>10}{'bound':>10}"
           f"{'evals':>8}  components (w, mu, sigma)")
     for name, src in sources.items():
-        res = worst_noise_search(src, args.budget, args.order, family,
-                                 seed=args.seed)
+        # the order argument is only recorded: the search minimizes the full
+        # tail energy, whatever the order
+        res = worst_noise_search(src, args.budget, 6, family, seed=args.seed)
         bound = linear_benchmark(src.variance, args.budget)
         comps = " ".join(f"({w:.2f},{m:+.2f},{s:.2f})"
                          for w, m, s in res.noise.components)

@@ -27,15 +27,13 @@ from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, laplace, rademacher_scaled,
                             tabulated, uniform)
 from .errors import ConfigError, IllConditioned, JamlabError
-from .estimation import mmse_estimator, output_density
 from .gamesim import (MIN_TRIALS, CorrelatedJammer, bernoulli_exploit_check,
                       default_lhs_jammers, saddle_profile, simulate,
                       verify_lhs_inequality, verify_rhs_inequality)
 from .grids import GridSpec
 from .matching import (JammingGameConfig, asymptotic_gaussianization,
                        gaussian_source_limit_check, synthesize_jammer)
-from .polyexpand import (GaussianMixtureFamily, build_basis, expansion_coeffs,
-                         worst_noise_search)
+from .polyexpand import GaussianMixtureFamily, _mmse_report, worst_noise_search
 
 TASKS = ("match", "saddle", "deviate", "mmse", "worst_noise", "asymptotic")
 STOCHASTIC_TASKS = ("saddle", "deviate", "worst_noise")
@@ -284,14 +282,11 @@ def _task_deviate(spec, cfg, grid, out_dir, strict_paper):
 
 def _task_mmse(spec, cfg, grid, out_dir, strict_paper):
     order = _num(spec.get("order", 6), "order", int)
-    g = grid or default_grid(cfg.source, cfg.channel_noise)
-    curve = mmse_estimator(cfg.source, cfg.channel_noise, g)
-    fu = tabulated(g, output_density(cfg.source, cfg.channel_noise, g))
     try:
-        basis = build_basis(fu, order)
+        curve, coeffs = _mmse_report(cfg.source, cfg.channel_noise, order, grid)
     except (ValueError, IllConditioned) as exc:
         raise ConfigError(f"field 'order' = {order}: {exc}") from None
-    coeffs = expansion_coeffs(cfg.source, cfg.channel_noise, basis)
+    g = curve.grid
     outputs = {
         "mmse": curve.mmse,
         "linearity_residual": curve.linearity_residual,

@@ -75,8 +75,8 @@ def _floored_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return h
 
 
-def _weighted_linear_fit(h: np.ndarray, fu: np.ndarray, grid: GridSpec):
-    """Best a + b*u fit to h in L2(f_U), returned as (a, b, residual).
+def _weighted_linear_fit(h: np.ndarray, fu: np.ndarray, grid: GridSpec) -> float:
+    """Residual of the best a + b*u fit to h in L2(f_U).
 
     Weights below the density floor are dropped: that is where h is a flat
     extension rather than a computed value, and the measure there is
@@ -90,7 +90,16 @@ def _weighted_linear_fit(h: np.ndarray, fu: np.ndarray, grid: GridSpec):
     a = (s2 * t0 - s1 * t1) / det
     b = (s0 * t1 - s1 * t0) / det
     resid2 = float(w @ (h - a - b * grid.x) ** 2)
-    return a, b, math.sqrt(max(0.0, resid2))
+    return math.sqrt(max(0.0, resid2))
+
+
+def _curve_of(fx, h, fu, grid: GridSpec) -> EstimatorCurve:
+    # the table's own second moment, so the orthogonality identity and the
+    # direct squared-error quadrature agree in the same discrete measure
+    var_table = float(np.sum(grid.x**2 * fx) * grid.dx)
+    return EstimatorCurve(grid=grid, values=h,
+                          mmse=var_table - float(np.sum(h * h * fu) * grid.dx),
+                          linearity_residual=_weighted_linear_fit(h, fu, grid))
 
 
 def mmse_estimator(source: DistributionModel, noise: DistributionModel,
@@ -106,13 +115,7 @@ def mmse_estimator(source: DistributionModel, noise: DistributionModel,
     _check_tails(grid, source, noise)
     fx = source.pdf_on(grid)
     h, fu = _bayes_ratio(fx, noise.pdf_on(grid), grid)
-    eh2 = float(np.sum(h * h * fu) * grid.dx)
-    # the table's own second moment, so the orthogonality identity and the
-    # direct squared-error quadrature agree in the same discrete measure
-    var_table = float(np.sum(grid.x**2 * fx) * grid.dx)
-    mmse = var_table - eh2
-    _, _, resid = _weighted_linear_fit(h, fu, grid)
-    return EstimatorCurve(grid=grid, values=h, mmse=mmse, linearity_residual=resid)
+    return _curve_of(fx, h, fu, grid)
 
 
 def output_density(source: DistributionModel, noise: DistributionModel,

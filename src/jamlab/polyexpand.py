@@ -37,8 +37,8 @@ from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
 from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
                      UnstableIntegration)
-from .estimation import (_DENSITY_FLOOR, _bayes_ratio, _check_tails,
-                         _floored_ratio, mmse_estimator, output_density)
+from .estimation import (_DENSITY_FLOOR, _bayes_ratio, _check_tails, _curve_of,
+                         _floored_ratio)
 from .grids import GridSpec, read_only_copy
 
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
@@ -98,7 +98,8 @@ def build_basis(output_density: DistributionModel, order: int) -> OrthoPolyBasis
     sd = math.sqrt(float(w @ grid.x**2))
     t = grid.x / sd
 
-    mom = np.array([float(w @ t**k) for k in range(2 * order + 1)])
+    powers = [t**k for k in range(2 * order + 1)]  # also the Gram-Schmidt starts
+    mom = np.array([float(w @ p) for p in powers])
     hankel = np.array([[mom[i + j] for j in range(order + 1)]
                        for i in range(order + 1)])
     cond = float(np.linalg.cond(hankel))
@@ -109,7 +110,7 @@ def build_basis(output_density: DistributionModel, order: int) -> OrthoPolyBasis
     vecs = []
     coefs = []  # rows: coefficients in powers of t
     for m in range(order + 1):
-        v = t**m
+        v = powers[m]
         c = np.zeros(order + 1)
         c[m] = 1.0
         for _ in range(2):  # full reorthogonalization
@@ -168,21 +169,30 @@ def expansion_coeffs(source: DistributionModel, noise: DistributionModel,
     if float(np.max(np.abs(fu - basis.measure.table))) > 1e-8:
         raise BasisMismatch("basis measure differs from the pair's output density")
     _check_tails(grid, source, noise)
-    w = fu * grid.dx
-    c = basis.values @ (h * w)
+    return _coeffs_of(fx, h, fu, grid, basis)
+
+
+def _coeffs_of(fx, h, fu, grid: GridSpec, basis) -> ExpansionCoefficients:
+    c = basis.values @ (h * (fu * grid.dx))
     var_table = float(np.sum(grid.x**2 * fx) * grid.dx)
     return ExpansionCoefficients(c=c, mmse_poly=var_table - float(c @ c))
+
+
+def _mmse_report(source: DistributionModel, noise: DistributionModel, order: int,
+                 grid: GridSpec | None):
+    """(curve, coeffs): the estimator and its expansion from one Bayes ratio."""
+    grid = grid or default_grid(source, noise)
+    _check_tails(grid, source, noise)
+    fx = source.pdf_on(grid)
+    h, fu = _bayes_ratio(fx, noise.pdf_on(grid), grid)
+    coeffs = _coeffs_of(fx, h, fu, grid, build_basis(tabulated(grid, fu), order))
+    return _curve_of(fx, h, fu, grid), coeffs
 
 
 def mmse_via_expansion(source: DistributionModel, noise: DistributionModel,
                        order: int, grid: GridSpec | None = None):
     """Expansion MMSE against the quadrature MMSE; returns (coeffs, gap)."""
-    if grid is None:
-        grid = default_grid(source, noise)
-    fu_model = tabulated(grid, output_density(source, noise, grid))
-    basis = build_basis(fu_model, order)
-    coeffs = expansion_coeffs(source, noise, basis)
-    curve = mmse_estimator(source, noise, grid)
+    curve, coeffs = _mmse_report(source, noise, order, grid)
     return coeffs, abs(coeffs.mmse_poly - curve.mmse)
 
 

@@ -427,6 +427,49 @@ def test_mmse_task(tmp_path):
     assert (out / "unit-gauss_estimator.csv").exists()
 
 
+def test_mmse_run_convolves_twice(tmp_path, monkeypatch):
+    """f_U and the Bayes numerator: every number the report writes comes
+    from those two convolutions."""
+    from jamlab import estimation
+    calls = []
+    convolve = estimation.convolve_tables
+
+    def counted(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(estimation, "convolve_tables", counted)
+    path = write_spec(tmp_path, task="mmse", game=_LAPLACE_GAUSSIAN)
+    assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("source", ["gaussian", "laplace", "uniform"])
+@pytest.mark.parametrize("order", [2, 6])
+def test_mmse_report_equals_the_composition_of_its_parts(tmp_path, source, order):
+    """The one-pass report against the public functions chained by hand."""
+    from jamlab.estimation import output_density
+    from jamlab.polyexpand import build_basis, expansion_coeffs
+    src, noise = getattr(jl, source)(1.0), jl.gaussian(1.0)
+    g = jl.default_grid(src, noise)
+    curve = jl.mmse_estimator(src, noise, g)
+    basis = build_basis(jl.tabulated(g, output_density(src, noise, g)), order)
+    want = expansion_coeffs(src, noise, basis)
+
+    got, gap = jl.mmse_via_expansion(src, noise, order)
+    assert np.array_equal(got.c, want.c) and got.mmse_poly == want.mmse_poly
+    assert gap == abs(want.mmse_poly - curve.mmse)
+
+    path = write_spec(tmp_path, task="mmse", order=order, game={
+        **_UNIT_GAME, "source": {"family": source, "variance": 1.0}})
+    out = tmp_path / "r"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    _, (u, h) = _columns(out / "unit-gauss_estimator.csv")
+    assert np.array_equal(u, g.x) and np.array_equal(h, curve.values)
+    _, (m, c) = _columns(out / "unit-gauss_coefficients.csv")
+    assert np.array_equal(m, np.arange(order + 1)) and np.array_equal(c, want.c)
+
+
 def test_asymptotic_task_low_csnr(tmp_path):
     path = write_spec(tmp_path, task="asymptotic", betas=[1, 4, 16],
                       game={

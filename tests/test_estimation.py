@@ -82,7 +82,7 @@ def test_residual_of_handbuilt_linear_curve_is_zero():
     from jamlab.estimation import _weighted_linear_fit
     g = jl.default_grid(jl.gaussian(1.0))
     fu = jl.gaussian(2.0).pdf_on(g)
-    _, _, resid = _weighted_linear_fit(0.3 * g.x + 0.1, fu, g)
+    resid = _weighted_linear_fit(0.3 * g.x + 0.1, fu, g)
     assert resid < 1e-9
 
 
