@@ -150,13 +150,15 @@ def load_spec(path: str | Path) -> dict:
     return spec
 
 
-def _grid_from(spec: dict, cfg: JammingGameConfig) -> GridSpec | None:
+def _grid_from(spec: dict, default) -> GridSpec:
+    """The spec's grid where it sets a half-width; otherwise ``default(n)``,
+    the task's own default grid at the requested number of points n."""
     g = _grid_field(spec)
     points = _num(g.get("num_points", 4096), "grid.num_points", int)
     try:
         if "half_width" in g:
             return GridSpec(_num(g["half_width"], "grid.half_width"), points)
-        return None if points == 4096 else cfg.grid_for(num_points=points)
+        return default(points)
     except ValueError as exc:  # GridSpec's message names the field at fault
         raise ConfigError(f"field 'grid': {exc}") from None
 
@@ -175,7 +177,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _manifest(spec: dict, cfg: JammingGameConfig, outputs: dict,
-              grid: GridSpec | None) -> dict:
+              grid: GridSpec, strict_paper: bool) -> dict:
     return {
         "name": spec["name"],
         "task": spec["task"],
@@ -185,12 +187,12 @@ def _manifest(spec: dict, cfg: JammingGameConfig, outputs: dict,
             "seed": spec.get("seed"),
             "order": spec.get("order"),
             "betas": spec.get("betas"),
+            "strict_paper": strict_paper,
         },
         "derived": _derived(cfg),
         "outputs": outputs,
         "environment": {
-            "grid": None if grid is None else
-            {"half_width": grid.half_width, "num_points": grid.num_points},
+            "grid": {"half_width": grid.half_width, "num_points": grid.num_points},
             "seed": spec.get("seed"),
             "version": __version__,
         },
@@ -208,10 +210,12 @@ def derive_quantities(game: dict, base_dir: Path | None = None) -> dict:
 
 
 # -- tasks --------------------------------------------------------------------
+# Each returns (exit code, outputs, the grid it ran on, its CSV tables as
+# {kind: (header, columns)}); ``run`` writes the files.
 
 
-def _task_match(spec, cfg, grid, out_dir, strict_paper):
-    result = synthesize_jammer(cfg, grid)
+def _task_match(spec, cfg, strict_paper):
+    result = synthesize_jammer(cfg, _grid_from(spec, cfg.grid_for))
     g = result.jammer_cf.grid
     outputs = {
         "verdict": result.verdict,
@@ -220,17 +224,18 @@ def _task_match(spec, cfg, grid, out_dir, strict_paper):
         else result.jammer_variance,
         "truncated": result.jammer_cf.truncated,
     }
-    _write_csv(out_dir / f"{spec['name']}_jammer_cf.csv",
-               ["omega", "re", "im"], [g.omega, result.jammer_cf.values.real,
-                                       result.jammer_cf.values.imag])
+    tables = {"jammer_cf": (["omega", "re", "im"],
+                            [g.omega, result.jammer_cf.values.real,
+                             result.jammer_cf.values.imag])}
     if result.matched:
-        _write_csv(out_dir / f"{spec['name']}_jammer_density.csv",
-                   ["x", "density"], [g.x, result.jammer_density.table])
-    return 0, outputs, g
+        tables["jammer_density"] = (["x", "density"],
+                                    [g.x, result.jammer_density.table])
+    return 0, outputs, g, tables
 
 
-def _task_saddle(spec, cfg, grid, out_dir, strict_paper):
+def _task_saddle(spec, cfg, strict_paper):
     trials = _trials(spec)
+    grid = _grid_from(spec, cfg.grid_for)
     match = synthesize_jammer(cfg, grid)
     jammer = match.jammer_density if match.matched else gaussian(cfg.power_jam)
     profile = saddle_profile(cfg, jammer, strict_paper=strict_paper)
@@ -243,10 +248,10 @@ def _task_saddle(spec, cfg, grid, out_dir, strict_paper):
         "theoretical_cost": outcome.theoretical_cost,
         "z_score": outcome.z_score,
     }
-    return 0, outputs, grid
+    return 0, outputs, grid, {}
 
 
-def _task_deviate(spec, cfg, grid, out_dir, strict_paper):
+def _task_deviate(spec, cfg, strict_paper):
     trials = _trials(spec)
     seed = _num(spec["seed"], "seed", int)
     rho = _num(spec.get("rho", 0.7), "rho")
@@ -255,6 +260,7 @@ def _task_deviate(spec, cfg, grid, out_dir, strict_paper):
     p_values = _numbers(spec.get("p_values", [0.5, 1.0]), "p_values")
     if not all(0.0 <= p <= 1.0 for p in p_values):
         raise ConfigError(f"field 'p_values' must lie in [0, 1], got {p_values}")
+    grid = _grid_from(spec, cfg.grid_for)
     match = synthesize_jammer(cfg, grid)
     if not match.matched:
         raise ConfigError(f"task 'deviate' needs a matching jammer: {match.reason}")
@@ -272,21 +278,20 @@ def _task_deviate(spec, cfg, grid, out_dir, strict_paper):
                    "std_error": e.outcome.std_error,
                    "expected_cost": e.expected_cost} for e in exploit.entries]
     header = ["side", "label", "cost", "std_error", "bound", "passed"]
-    _write_csv(out_dir / f"{spec['name']}_deviations.csv", header,
-               [[str(e[k]) if k == "passed" else e[k] for e in entries] for k in header])
+    table = [[str(e[k]) if k == "passed" else e[k] for e in entries] for k in header]
     ok = rhs.all_passed and lhs.all_passed
-    outputs = {"entries": entries, "exploit": ex_entries,
-               "all_passed": ok}
-    return (0 if ok else 2), outputs, grid
+    outputs = {"entries": entries, "exploit": ex_entries, "all_passed": ok}
+    return (0 if ok else 2), outputs, grid, {"deviations": (header, table)}
 
 
-def _task_mmse(spec, cfg, grid, out_dir, strict_paper):
+def _task_mmse(spec, cfg, strict_paper):
     order = _num(spec.get("order", 6), "order", int)
+    grid = _grid_from(spec, lambda n: default_grid(
+        cfg.source, cfg.channel_noise, num_points=n))
     try:
         curve, coeffs = _mmse_report(cfg.source, cfg.channel_noise, order, grid)
     except (ValueError, IllConditioned) as exc:
         raise ConfigError(f"field 'order' = {order}: {exc}") from None
-    g = curve.grid
     outputs = {
         "mmse": curve.mmse,
         "linearity_residual": curve.linearity_residual,
@@ -294,20 +299,19 @@ def _task_mmse(spec, cfg, grid, out_dir, strict_paper):
         "gap": abs(coeffs.mmse_poly - curve.mmse),
         "coefficients": list(coeffs.c),
     }
-    _write_csv(out_dir / f"{spec['name']}_estimator.csv", ["u", "h"],
-               [g.x, curve.values])
-    _write_csv(out_dir / f"{spec['name']}_coefficients.csv", ["m", "c"],
-               [np.arange(len(coeffs.c)), coeffs.c])
-    return 0, outputs, g
+    return 0, outputs, grid, {
+        "estimator": (["u", "h"], [grid.x, curve.values]),
+        "coefficients": (["m", "c"], [np.arange(len(coeffs.c)), coeffs.c])}
 
 
-def _task_worst_noise(spec, cfg, grid, out_dir, strict_paper):
+def _task_worst_noise(spec, cfg, strict_paper):
     order = _num(spec.get("order", 6), "order", int)
     k = _num(spec.get("mixture_components", 3), "mixture_components", int)
     try:
         family = GaussianMixtureFamily(k)
     except ValueError as exc:
         raise ConfigError(f"field 'mixture_components': {exc}") from None
+    _grid_from(spec, lambda n: GridSpec(1.0, n))  # a bad grid fails before searching
     res = worst_noise_search(cfg.source, cfg.power_jam, order, family,
                              seed=_num(spec["seed"], "seed", int))
     outputs = {
@@ -317,38 +321,32 @@ def _task_worst_noise(spec, cfg, grid, out_dir, strict_paper):
         "converged": res.converged,
         "noise_components": [list(c) for c in res.noise.components],
     }
-    g = grid or default_grid(res.noise)
-    _write_csv(out_dir / f"{spec['name']}_worst_noise_density.csv",
-               ["x", "density"], [g.x, res.noise.pdf_on(g)])
-    return 0, outputs, g
+    grid = _grid_from(spec, lambda n: default_grid(res.noise, num_points=n))
+    return 0, outputs, grid, {"worst_noise_density": (
+        ["x", "density"], [grid.x, res.noise.pdf_on(grid)])}
 
 
-def _task_asymptotic(spec, cfg, grid, out_dir, strict_paper):
+def _task_asymptotic(spec, cfg, strict_paper):
     betas = _numbers(spec.get("betas"), "betas")
     direction = spec.get("direction", "low_csnr")
     if direction not in ("low_csnr", "high_csnr"):
         raise ConfigError(f"unknown direction '{direction}'")
+    grid = _grid_from(spec, lambda n: default_grid(gaussian(1.0), num_points=n))
     try:  # the schedule check is the only ValueError either function raises
         if direction == "low_csnr":
-            out = asymptotic_gaussianization(cfg.source, betas, grid)
+            rows = [{"beta": b, "distance": d} for b, d in
+                    asymptotic_gaussianization(cfg.source, betas, grid)]
         else:
-            out = gaussian_source_limit_check(cfg.channel_noise, betas, grid,
-                                              power_jam=cfg.power_jam)
+            rows = [dict(beta=b, **r) for b, r in gaussian_source_limit_check(
+                cfg.channel_noise, betas, grid, power_jam=cfg.power_jam)]
     except ValueError as exc:
         raise ConfigError(f"field 'betas' for {direction}: {exc}") from None
-    if direction == "low_csnr":
-        _write_csv(out_dir / f"{spec['name']}_asymptotic.csv",
-                   ["beta", "gaussian_distance"], list(zip(*out)))
-        outputs = {"direction": direction,
-                   "distances": [{"beta": b, "distance": d} for b, d in out]}
-    else:
-        fams = sorted(out[0][1])
-        _write_csv(out_dir / f"{spec['name']}_asymptotic.csv",
-                   ["beta"] + [f"distance_{f}" for f in fams],
-                   [[b for b, _ in out]] + [[r[f] for _, r in out] for f in fams])
-        outputs = {"direction": direction,
-                   "distances": [dict(beta=b, **row) for b, row in out]}
-    return 0, outputs, grid
+    keys = [k for k in sorted(rows[0]) if k != "beta"]
+    header = ["beta"] + (["gaussian_distance"] if direction == "low_csnr"
+                         else [f"distance_{k}" for k in keys])
+    columns = [[r[k] for r in rows] for k in ["beta"] + keys]
+    return 0, {"direction": direction, "distances": rows}, grid, {
+        "asymptotic": (header, columns)}
 
 
 _TASK_FNS = {
@@ -361,35 +359,18 @@ _TASK_FNS = {
 }
 
 
-def _overridden(spec: dict, grid_points: int | None, half_width: float | None,
-                seed: int | None) -> dict:
-    """The spec with the command line's seed and grid flags applied."""
-    if seed is not None:
-        spec = {**spec, "seed": seed}
-    if grid_points is not None or half_width is not None:
-        g = dict(_grid_field(spec))
-        if grid_points is not None:
-            g["num_points"] = grid_points
-        if half_width is not None:
-            g["half_width"] = half_width
-        spec = {**spec, "grid": g}
-    return spec
-
-
-def run(spec: dict, out_dir: Path, strict_paper: bool = False,
-        grid_points: int | None = None, half_width: float | None = None,
-        seed: int | None = None) -> int:
-    """Execute a validated spec; writes the manifest and artifacts."""
-    spec = _overridden(spec, grid_points, half_width, seed)
+def run(spec: dict, out_dir: Path, strict_paper: bool = False) -> tuple[int, dict]:
+    """Execute a validated spec: write ``<name>_<kind>.csv`` for each of the
+    task's tables, then the manifest.  Returns the exit code and the manifest."""
     cfg = build_game(spec["game"], Path(spec.get("__dir__", ".")))
-    grid = _grid_from(spec, cfg)
+    code, outputs, grid, tables = _TASK_FNS[spec["task"]](spec, cfg, strict_paper)
     out_dir.mkdir(parents=True, exist_ok=True)
-    code, outputs, used_grid = _TASK_FNS[spec["task"]](
-        spec, cfg, grid, out_dir, strict_paper)
-    manifest = _manifest(spec, cfg, outputs, used_grid)
+    for kind, (header, columns) in tables.items():
+        _write_csv(out_dir / f"{spec['name']}_{kind}.csv", header, columns)
+    manifest = _manifest(spec, cfg, outputs, grid, strict_paper)
     (out_dir / f"{spec['name']}_result.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return code
+    return code, manifest
 
 
 def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
@@ -397,9 +378,11 @@ def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
     """Repeat the task once per parameter value; one CSV row each."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}")
-    if any(not np.isfinite(v) or v <= 0 for v in values):
+    if parameter == "order":  # the task checks the range
+        if not all(float(v).is_integer() for v in values):
+            raise ConfigError("sweep values of 'order' must be whole numbers")
+    elif any(not np.isfinite(v) or v <= 0 for v in values):
         raise ConfigError("sweep values must be finite and positive")
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows, header, worst = [], None, 0
     for v in values:
         sub = json.loads(json.dumps({k: w for k, w in spec.items()
@@ -422,11 +405,9 @@ def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
         else:
             game[parameter] = v
         sub["name"] = f"{spec['name']}_{parameter}_{v:g}"
-        code = run(sub, out_dir, strict_paper)
+        code, manifest = run(sub, out_dir, strict_paper)
         worst = max(worst, code)
-        manifest = json.loads(
-            (out_dir / f"{sub['name']}_result.json").read_text())
-        row, cols = _sweep_row(sub["task"], manifest)
+        row, cols = _sweep_row(manifest)
         if header is None:
             header = [parameter] + cols
         rows.append([v] + row)
@@ -435,30 +416,27 @@ def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
     return worst
 
 
-def _sweep_row(task: str, manifest: dict):
-    out = manifest["outputs"]
-    der = manifest["derived"]
-    if task == "saddle":
-        return ([out["empirical_cost"], out["std_error"],
-                 out["theoretical_cost"], out["z_score"]],
-                ["empirical_cost", "std_error", "theoretical_cost", "z_score"])
+_SWEEP_COLUMNS = {  # the manifest outputs a sweep row copies, per task
+    "saddle": ["empirical_cost", "std_error", "theoretical_cost", "z_score"],
+    "mmse": ["mmse", "mmse_poly", "gap"],
+    "worst_noise": ["objective", "mmse_attained"],
+}
+
+
+def _sweep_row(manifest: dict):
+    task, out = manifest["task"], manifest["outputs"]
+    if task in _SWEEP_COLUMNS:
+        cols = _SWEEP_COLUMNS[task]
+        return [out[k] for k in cols], cols
     if task == "match":
         return ([out["verdict"], out["jammer_variance"] or float("nan"),
-                 der["saddle_cost"]],
+                 manifest["derived"]["saddle_cost"]],
                 ["verdict", "jammer_variance", "saddle_cost"])
-    if task == "mmse":
-        return ([out["mmse"], out["mmse_poly"], out["gap"]],
-                ["mmse", "mmse_poly", "gap"])
-    if task == "worst_noise":
-        return ([out["objective"], out["mmse_attained"]],
-                ["objective", "mmse_attained"])
     if task == "asymptotic":
         d = out["distances"][0]
         keys = [k for k in sorted(d) if k != "beta"]
         return [d[k] for k in keys], keys
-    if task == "deviate":
-        return [float(out["all_passed"])], ["all_passed"]
-    raise ConfigError(f"sweep does not support task '{task}'")
+    return [float(out["all_passed"])], ["all_passed"]  # deviate
 
 
 # -- entry point ------------------------------------------------------------------
@@ -491,16 +469,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = load_spec(args.spec)
+        if args.seed is not None:
+            spec["seed"] = args.seed
+        for key, flag in (("num_points", args.grid_points),
+                          ("half_width", args.grid_halfwidth)):
+            if flag is not None:
+                spec["grid"] = {**_grid_field(spec), key: flag}
         if args.command == "run":
-            return run(spec, Path(args.out), strict_paper=args.strict_paper,
-                       grid_points=args.grid_points,
-                       half_width=args.grid_halfwidth, seed=args.seed)
+            return run(spec, Path(args.out), strict_paper=args.strict_paper)[0]
         values = [_num(v, "--values") for v in args.values.split(",")
                   if v.strip()]
         if not values:
             raise ConfigError("--values is empty")
-        spec = _overridden(spec, args.grid_points, args.grid_halfwidth,
-                           args.seed)
         return sweep(spec, args.param, values, Path(args.out),
                      strict_paper=args.strict_paper)
     except JamlabError as exc:

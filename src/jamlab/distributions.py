@@ -387,8 +387,10 @@ def tabulated(grid: GridSpec, values: np.ndarray,
               negativity_floor: float = 0.0) -> DistributionModel:
     """Tabulated density on ``grid``; values are clipped at 0 and renormalized.
 
-    Raises if the table is more than mildly negative, does not integrate to 1
-    within 1e-6, or has a non-zero mean.
+    Negative values are not rejected: the lower of the table's minimum and
+    ``negativity_floor`` is recorded as the model's ``negativity_floor``.
+    Raises ``ValueError`` if the table does not fit the grid, has no positive
+    mass or does not integrate to 1 within 1e-6, and ``NonZeroMean`` if its mean is not zero.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.num_points,):

@@ -56,6 +56,15 @@ def _check_tails(grid: GridSpec, *models: DistributionModel) -> None:
             raise GridTooNarrow("component tail mass exceeds 1e-10 on this grid")
 
 
+def _check_output_mass(fu: np.ndarray, grid: GridSpec) -> None:
+    """GridTooNarrow where f_U = f_X * f_Z has 1e-10 or more of its mass off
+    the grid, as when each density fits the grid but their sum does not."""
+    lost = 1.0 - float(fu.sum() * grid.dx)
+    if lost >= 1e-10:
+        raise GridTooNarrow(f"output density loses {lost:.3g} of its mass "
+                            "off the grid, not below 1e-10")
+
+
 def _bayes_ratio(fx: np.ndarray, fz: np.ndarray, grid: GridSpec):
     num = convolve_tables(grid.x * fx, fz, grid)
     den = convolve_tables(fx, fz, grid)
@@ -108,13 +117,15 @@ def mmse_estimator(source: DistributionModel, noise: DistributionModel,
 
     Works on cell-averaged tables of both densities.  Outside the support of
     f_U the Bayes ratio is 0/0; those samples take the nearest computed value,
-    which cannot affect the MMSE since the f_U-weight vanishes there.
+    which cannot affect the MMSE since the f_U-weight vanishes there.  Raises
+    ``GridTooNarrow`` where X, Z or U has 1e-10 or more of its mass off the grid.
     """
     if grid is None:
         grid = default_grid(source, noise)
     _check_tails(grid, source, noise)
     fx = source.pdf_on(grid)
     h, fu = _bayes_ratio(fx, noise.pdf_on(grid), grid)
+    _check_output_mass(fu, grid)
     return _curve_of(fx, h, fu, grid)
 
 

@@ -393,16 +393,10 @@ def verify_rhs_inequality(cfg: JammingGameConfig, trials: int, seed: int,
         jammer_model = result.jammer_density
     if encoders is None:
         encoders = companding_encoders(cfg)
-    entries = []
-    for enc in encoders:
-        decoder = mmse_decoder_for_encoder(cfg, enc, jammer_model)
-        profile = StrategyProfile(enc, IndependentNoise(jammer_model), decoder)
-        outcome = simulate(cfg, profile, trials, seed)
-        bound = cfg.saddle_cost - _SIGMA_GATE * outcome.std_error
-        entries.append(DeviationEntry(label=enc.label, outcome=outcome,
-                                      bound=bound,
-                                      passed=outcome.empirical_cost >= bound))
-    return DeviationReport(side="encoder", entries=tuple(entries))
+    return _priced(cfg, trials, seed, "encoder", (
+        (enc.label, StrategyProfile(enc, IndependentNoise(jammer_model),
+                                    mmse_decoder_for_encoder(cfg, enc, jammer_model)))
+        for enc in encoders))
 
 
 def default_lhs_jammers(cfg: JammingGameConfig, rho: float = 0.7) -> list[tuple]:
@@ -427,14 +421,23 @@ def verify_lhs_inequality(cfg: JammingGameConfig, trials: int, seed: int,
     """
     if jammers is None:
         jammers = default_lhs_jammers(cfg)
+    return _priced(cfg, trials, seed, "jammer", (
+        (label, StrategyProfile(RandomizedLinear(0.5), jam, MmseGivenProfile()))
+        for label, jam in jammers))
+
+
+def _priced(cfg: JammingGameConfig, trials: int, seed: int, side: str,
+            candidates) -> DeviationReport:
+    """Simulate each (label, profile); its bound is the saddle cost minus
+    (encoder side) or plus (jammer side) ``_SIGMA_GATE`` standard errors."""
+    sign = -1.0 if side == "encoder" else 1.0
     entries = []
-    for label, jam in jammers:
-        profile = StrategyProfile(RandomizedLinear(0.5), jam, MmseGivenProfile())
+    for label, profile in candidates:
         outcome = simulate(cfg, profile, trials, seed)
-        bound = cfg.saddle_cost + _SIGMA_GATE * outcome.std_error
-        entries.append(DeviationEntry(label=label, outcome=outcome, bound=bound,
-                                      passed=outcome.empirical_cost <= bound))
-    return DeviationReport(side="jammer", entries=tuple(entries))
+        bound = cfg.saddle_cost + sign * _SIGMA_GATE * outcome.std_error
+        passed = sign * (bound - outcome.empirical_cost) >= 0.0
+        entries.append(DeviationEntry(label, outcome, bound, passed))
+    return DeviationReport(side=side, entries=tuple(entries))
 
 
 # -- sign-parameter exploit --------------------------------------------------------------

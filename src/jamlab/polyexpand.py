@@ -37,8 +37,8 @@ from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
 from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
                      UnstableIntegration)
-from .estimation import (_DENSITY_FLOOR, _bayes_ratio, _check_tails, _curve_of,
-                         _floored_ratio)
+from .estimation import (_DENSITY_FLOOR, _bayes_ratio, _check_output_mass,
+                         _check_tails, _curve_of, _floored_ratio)
 from .grids import GridSpec, read_only_copy
 
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
@@ -161,7 +161,8 @@ def expansion_coeffs(source: DistributionModel, noise: DistributionModel,
 
     The basis must have been built on this pair's output density (checked to
     1e-8 in sup norm, else ``BasisMismatch``); h and f_U come from one Bayes
-    ratio on the basis grid, with ``mmse_estimator``'s tail gate.
+    ratio on the basis grid, with ``mmse_estimator``'s tail and output-mass
+    gates.
     """
     grid = basis.measure.grid
     fx = source.pdf_on(grid)
@@ -169,6 +170,7 @@ def expansion_coeffs(source: DistributionModel, noise: DistributionModel,
     if float(np.max(np.abs(fu - basis.measure.table))) > 1e-8:
         raise BasisMismatch("basis measure differs from the pair's output density")
     _check_tails(grid, source, noise)
+    _check_output_mass(fu, grid)
     return _coeffs_of(fx, h, fu, grid, basis)
 
 
@@ -185,6 +187,7 @@ def _mmse_report(source: DistributionModel, noise: DistributionModel, order: int
     _check_tails(grid, source, noise)
     fx = source.pdf_on(grid)
     h, fu = _bayes_ratio(fx, noise.pdf_on(grid), grid)
+    _check_output_mass(fu, grid)
     coeffs = _coeffs_of(fx, h, fu, grid, build_basis(tabulated(grid, fu), order))
     return _curve_of(fx, h, fu, grid), coeffs
 

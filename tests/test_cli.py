@@ -150,6 +150,33 @@ def test_grid_too_narrow_is_an_error_line(tmp_path, capsys, task):
     assert err.startswith("error: ") and "1e-10" in err, err
 
 
+def test_output_density_off_the_grid_is_grid_too_narrow(tmp_path, capsys):
+    """Each uniform density fits on half-width 2, their sum does not: f_U
+    loses 18% of its mass.  Every MMSE path says so, and the CLI does not
+    blame the order."""
+    import dataclasses
+    from jamlab.errors import GridTooNarrow
+    from jamlab.estimation import output_density
+    from jamlab.polyexpand import build_basis, expansion_coeffs
+    src, noise, g = jl.uniform(1.0), jl.uniform(1.0), jl.GridSpec(2.0, 1024)
+    fu = output_density(src, noise, g)
+    # a basis on the pair's own f_U, which ``tabulated`` rejects for its mass
+    measure = dataclasses.replace(jl.gaussian(1.0), kind="tabulated", grid=g,
+                                  table=fu)
+    for call in (lambda: jl.mmse_estimator(src, noise, g),
+                 lambda: jl.mmse_via_expansion(src, noise, 4, g),
+                 lambda: expansion_coeffs(src, noise, build_basis(measure, 4))):
+        with pytest.raises(GridTooNarrow, match="off the grid"):
+            call()
+    path = write_spec(tmp_path, task="mmse", order=4, grid={
+        "half_width": 2.0, "num_points": 1024}, game={
+            **_UNIT_GAME, "source": {"family": "uniform", "variance": 1.0},
+            "channel_noise": {"family": "uniform", "variance": 1.0}})
+    assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output density") and "order" not in err, err
+
+
 def test_deviate_without_a_matching_jammer_is_an_error_line(tmp_path, capsys):
     path = write_spec(tmp_path, task="deviate", trials=10_000, seed=1,
                       game=_LAPLACE_GAUSSIAN)
@@ -403,6 +430,16 @@ def test_reruns_are_byte_identical(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("flags", [[], ["--strict-paper"]])
+def test_manifest_records_strict_paper(tmp_path, flags):
+    path = write_spec(tmp_path, task="saddle", trials=10_000, seed=3,
+                      game={**_UNIT_GAME, "power_tx": 2.0})
+    out = tmp_path / "results"
+    assert main(["run", str(path), "--out", str(out), *flags]) == 0
+    manifest = json.loads((out / "unit-gauss_result.json").read_text())
+    assert manifest["inputs"]["strict_paper"] is bool(flags)
+
+
 def test_seed_override_changes_draws(tmp_path):
     path = write_spec(tmp_path, task="saddle", trials=20_000, seed=3)
     out = tmp_path / "results"
@@ -470,6 +507,39 @@ def test_mmse_report_equals_the_composition_of_its_parts(tmp_path, source, order
     assert np.array_equal(m, np.arange(order + 1)) and np.array_equal(c, want.c)
 
 
+def test_grid_points_alone_keep_each_task_default_width(tmp_path):
+    """--grid-points without a half-width scales the task's own default grid:
+    the pair's for mmse, the game's for match, saddle and deviate."""
+    game = {**_LAPLACE_GAUSSIAN, "power_jam": 10.0}
+    out = tmp_path / "results"
+
+    def run(name, points, **fields):
+        path = write_spec(tmp_path, name=name, **{"game": game, **fields})
+        assert main(["run", str(path), "--out", str(out),
+                     "--grid-points", str(points)]) == 0
+        manifest = json.loads((out / f"{name}_result.json").read_text())
+        return jl.GridSpec(**manifest["environment"]["grid"])
+
+    src, noise = jl.laplace(1.0), jl.gaussian(1.0)
+    g = jl.default_grid(src, noise, num_points=8192)
+    assert run("mmse", 8192, task="mmse") == g
+    assert g.half_width == pytest.approx(19.538, abs=1e-3)
+    _, (u, h) = _columns(out / "mmse_estimator.csv")
+    assert np.array_equal(u, g.x)
+    assert np.array_equal(h, jl.mmse_estimator(src, noise, g).values)
+
+    cfg = build_game(game, tmp_path)
+    assert run("match", 2048) == cfg.grid_for(2048)
+    _, cols = _columns(out / "match_jammer_cf.csv")
+    want = synthesize_jammer(cfg, cfg.grid_for(2048)).jammer_cf.values
+    assert _same(cols[1], want.real) and _same(cols[2], want.imag)
+    assert run("saddle", 2048, task="saddle", trials=10_000, seed=1) == \
+        cfg.grid_for(2048)
+    # deviate needs a matching jammer
+    assert run("deviate", 2048, task="deviate", trials=10_000, seed=1,
+               game=_UNIT_GAME) == build_game(_UNIT_GAME, tmp_path).grid_for(2048)
+
+
 def test_asymptotic_task_low_csnr(tmp_path):
     path = write_spec(tmp_path, task="asymptotic", betas=[1, 4, 16],
                       game={
@@ -528,6 +598,18 @@ def test_sweep_rejects_bad_values(tmp_path):
     path = write_spec(tmp_path, task="saddle", trials=10_000, seed=5)
     assert main(["sweep", str(path), "--param", "power_jam",
                  "--values=-1,2", "--out", str(tmp_path / "r")]) == 1
+
+
+def test_sweep_order_takes_whole_numbers_from_zero(tmp_path, capsys):
+    path = write_spec(tmp_path, task="mmse")
+    out = tmp_path / "results"
+    assert main(["sweep", str(path), "--param", "order",
+                 "--values", "0,2", "--out", str(out)]) == 0
+    rows = (out / "unit-gauss_sweep_order.csv").read_text().strip().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["0", "2"]
+    assert main(["sweep", str(path), "--param", "order",
+                 "--values", "2.5", "--out", str(out)]) == 1
+    assert "whole numbers" in capsys.readouterr().err
 
 
 def test_sweep_beta_over_asymptotic_schedule(tmp_path):

@@ -23,3 +23,11 @@ def test_saddle_verification_without_a_matching_jammer(monkeypatch, capsys):
     assert "no matching jammer (magnitude exceeds 1" in out
     assert "encoder deviations skipped" in out
     assert "jammer deviations" in out and "sign-parameter sweep" in out
+
+
+def test_matching_gallery_prints_every_pair(monkeypatch, capsys):
+    out = _run_script("matching_gallery", [], monkeypatch, capsys)
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert len(rows) == 16
+    verdicts = {(r[0], r[1]): r[3] for r in rows}
+    assert verdicts["gaussian", "gaussian"] == "matched"
