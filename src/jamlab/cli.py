@@ -65,6 +65,15 @@ def _numbers(value, field: str) -> list:
     return value
 
 
+def _seed(spec: dict) -> int:
+    """The spec's seed, a whole number from 0, or a ConfigError naming it."""
+    value = spec["seed"]
+    seed = _num(value, "seed", int)
+    if seed < 0 or (isinstance(value, float) and value != seed):
+        raise ConfigError(f"field 'seed' must be a whole number from 0, got {value!r}")
+    return seed
+
+
 def _grid_field(spec: dict) -> dict:
     g = spec.get("grid") or {}
     if not isinstance(g, dict):
@@ -239,7 +248,7 @@ def _task_saddle(spec, cfg, strict_paper):
     match = synthesize_jammer(cfg, grid)
     jammer = match.jammer_density if match.matched else gaussian(cfg.power_jam)
     profile = saddle_profile(cfg, jammer, strict_paper=strict_paper)
-    outcome = simulate(cfg, profile, trials, _num(spec["seed"], "seed", int))
+    outcome = simulate(cfg, profile, trials, _seed(spec))
     outputs = {
         "jammer": "matched" if match.matched else "gaussian-fallback",
         "empirical_cost": outcome.empirical_cost,
@@ -253,7 +262,7 @@ def _task_saddle(spec, cfg, strict_paper):
 
 def _task_deviate(spec, cfg, strict_paper):
     trials = _trials(spec)
-    seed = _num(spec["seed"], "seed", int)
+    seed = _seed(spec)
     rho = _num(spec.get("rho", 0.7), "rho")
     if not -1.0 <= rho <= 1.0:
         raise ConfigError(f"field 'rho' must lie in [-1, 1], got {rho}")
@@ -313,7 +322,7 @@ def _task_worst_noise(spec, cfg, strict_paper):
         raise ConfigError(f"field 'mixture_components': {exc}") from None
     _grid_from(spec, lambda n: GridSpec(1.0, n))  # a bad grid fails before searching
     res = worst_noise_search(cfg.source, cfg.power_jam, order, family,
-                             seed=_num(spec["seed"], "seed", int))
+                             seed=_seed(spec))
     outputs = {
         "objective": res.objective,
         "mmse_attained": res.mmse_attained,
@@ -378,6 +387,13 @@ def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
     """Repeat the task once per parameter value; one CSV row each."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}")
+    task = spec["task"]
+    reads = _SWEEP_TASKS[task][0]
+    if task == "asymptotic" and spec.get("direction") == "high_csnr":
+        reads += ("power_jam",)  # the Gaussian-source limit runs at P_A
+    if parameter not in reads:
+        raise ConfigError(f"task '{task}' does not read sweep parameter "
+                          f"'{parameter}'; it reads {', '.join(reads)}")
     if parameter == "order":  # the task checks the range
         if not all(float(v).is_integer() for v in values):
             raise ConfigError("sweep values of 'order' must be whole numbers")
@@ -416,17 +432,21 @@ def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
     return worst
 
 
-_SWEEP_COLUMNS = {  # the manifest outputs a sweep row copies, per task
-    "saddle": ["empirical_cost", "std_error", "theoretical_cost", "z_score"],
-    "mmse": ["mmse", "mmse_poly", "gap"],
-    "worst_noise": ["objective", "mmse_attained"],
+_POWERS = ("beta", "power_jam", "power_tx")
+_SWEEP_TASKS = {  # per task: the sweep parameters it reads, the outputs a row copies
+    "match": (_POWERS, None),
+    "saddle": (_POWERS, ["empirical_cost", "std_error", "theoretical_cost", "z_score"]),
+    "deviate": (_POWERS, None),
+    "mmse": (("order",), ["mmse", "mmse_poly", "gap"]),
+    "worst_noise": (("beta", "power_jam"), ["objective", "mmse_attained"]),
+    "asymptotic": (("beta",), None),
 }
 
 
 def _sweep_row(manifest: dict):
     task, out = manifest["task"], manifest["outputs"]
-    if task in _SWEEP_COLUMNS:
-        cols = _SWEEP_COLUMNS[task]
+    cols = _SWEEP_TASKS[task][1]
+    if cols:
         return [out[k] for k in cols], cols
     if task == "match":
         return ([out["verdict"], out["jammer_variance"] or float("nan"),

@@ -362,6 +362,9 @@ def uniform(variance: float) -> DistributionModel:
 
 
 def rademacher_scaled(sigma: float) -> DistributionModel:
+    """Equiprobable atoms at -sigma and sigma."""
+    if not np.isfinite(sigma) or sigma <= 0:
+        raise ValueError("sigma must be finite and positive")
     return DistributionModel(RADEMACHER, float(sigma) ** 2)
 
 

@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .distributions import DistributionModel, default_grid, gaussian, laplace, uniform
 from .errors import InvalidProfile, PowerViolation
-from .estimation import _floored_ratio, convolve_tables
+from .estimation import _GridConvolution, _floored_ratio, convolve_tables
 from .grids import GridSpec, read_only_copy
 from .matching import JammingGameConfig, synthesize_jammer
 
@@ -241,7 +240,8 @@ def _conditional_mean(cfg: JammingGameConfig, grid: GridSpec, phi: np.ndarray,
     w = np.concatenate([mass * (j + 1 - t), mass * (t - j)])
     deposits = np.stack([np.bincount(idx, w * np.concatenate([x, x]), n),
                          np.bincount(idx, w, n)])
-    num, den = fftconvolve(deposits, fv[None, :], axes=1)[:, n // 2: n // 2 + n]
+    conv = _GridConvolution(n)
+    num, den = conv.on_grid(conv.spectrum(deposits) * conv.spectrum(fv))
     return CurveDecoder(u_grid, _floored_ratio(num, den))
 
 

@@ -30,15 +30,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy import fft as sfft
 
 from .charfun import cf_divide, cf_of, cf_power, check_validity
 from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
 from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
                      UnstableIntegration)
-from .estimation import (_DENSITY_FLOOR, _bayes_ratio, _check_output_mass,
-                         _check_tails, _curve_of, _floored_ratio)
+from .estimation import (_DENSITY_FLOOR, _GridConvolution, _bayes_ratio,
+                         _check_output_mass, _check_tails, _curve_of, _floored_ratio)
 from .grids import GridSpec, read_only_copy
 
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
@@ -268,46 +267,29 @@ class _TableEnergy:
     """E[h^2] = sum num^2/den dx as a function of the noise table f_Z.
 
     num = A f_Z and den = B f_Z are the Bayes-ratio convolutions with x f_X
-    and f_X, restricted to the grid as in ``convolve_tables``.  Output points
-    where den is below the density floor drop out, as in the Bayes ratio.
-    The kernel spectra are computed once, one kernel per row: x f_X and f_X
-    in ``_kernels``, reversed in ``_adjoints``, and reversed (x f_X)^2,
-    x f_X^2 and f_X^2 in ``_squares``; each product is then one ``rfft``
-    and one ``irfft`` call over all rows.
-
-    ``tail`` scores any noise table, the mixture family's included, on the
-    same spectra.  It multiplies kernel spectrum first, the operand order of
-    ``fftconvolve``; complex multiplication in numpy is not bitwise
-    commutative, and this order keeps ``tail`` bitwise equal to the Bayes
-    ratio built on ``convolve_tables``.
+    and f_X; output points where den is below the density floor drop out.
+    ``tail`` multiplies kernel spectrum first, as ``convolve_tables`` does, so
+    it stays bitwise equal to the Bayes ratio.
     """
 
     def __init__(self, fx: np.ndarray, grid: GridSpec):
-        n = grid.num_points
         self._x = grid.x
         self._dx = grid.dx
         self._var_x = float(np.sum(grid.x**2 * fx) * grid.dx)
-        self._size = sfft.next_fast_len(2 * n - 1, real=True)
-        self._on_grid = slice(n // 2, n // 2 + n)
-        self._adjoint_on_grid = slice(n // 2 - 1, n // 2 - 1 + n)
+        self._fft = conv = _GridConvolution(grid.num_points, grid.dx)
         kx = grid.x * fx
-        self._kernels = sfft.rfft(np.stack([kx, fx]), self._size)
-        self._adjoints = sfft.rfft(np.stack([kx, fx])[:, ::-1], self._size)
-        self._squares = sfft.rfft(
-            np.stack([kx * kx, kx * fx, fx * fx])[:, ::-1], self._size)
-
-    def _convolve(self, spectra):
-        """Grid part of the inverse transform of each row of ``spectra``."""
-        return sfft.irfft(spectra, self._size)[:, self._on_grid] * self._dx
+        self._kernels = conv.spectrum(np.stack([kx, fx]))
+        self._adjoints = conv.spectrum(np.stack([kx, fx])[:, ::-1])
+        self._squares = conv.spectrum(np.stack([kx * kx, kx * fx, fx * fx])[:, ::-1])
 
     def _forward(self, v):
         """(A v, B v)."""
-        return self._convolve(sfft.rfft(v, self._size) * self._kernels)
+        return self._fft.on_grid(self._fft.spectrum(v) * self._kernels)
 
     def _correlate(self, vectors, spectra):
         """Sum over pairs of the adjoint convolutions K^T v."""
-        total = sum(sfft.rfft(np.stack(vectors), self._size) * spectra)
-        return sfft.irfft(total, self._size)[self._adjoint_on_grid] * self._dx
+        total = sum(self._fft.spectrum(np.stack(vectors)) * spectra)
+        return self._fft.on_grid(total, adjoint=True)
 
     def at(self, fz):
         """(E[h^2], h, 1/den), with h and 1/den zero below the floor."""
@@ -320,7 +302,7 @@ class _TableEnergy:
     def tail(self, fz):
         """(nonlinear coefficient energy of h, table MMSE); h is extended
         past the density floor as in the Bayes ratio."""
-        num, den = self._convolve(self._kernels * sfft.rfft(fz, self._size))
+        num, den = self._fft.on_grid(self._kernels * self._fft.spectrum(fz))
         h = _floored_ratio(num, den)
         w = den * self._dx
         eh2 = float(w @ h**2)

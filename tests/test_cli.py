@@ -726,3 +726,59 @@ def test_tabulated_source_from_csv(tmp_path):
     })
     out = tmp_path / "results"
     assert main(["run", str(path), "--out", str(out)]) == 0
+
+
+# -- seeds, sigma and swept parameters ----------------------------------------------
+
+
+@pytest.mark.parametrize("task, seed, flags", [
+    ("saddle", -3, []), ("worst_noise", -3, []), ("deviate", -3, []),
+    ("saddle", 1, ["--seed", "-5"]), ("saddle", 2.5, []),
+], ids=["saddle", "worst-noise", "deviate", "seed-flag", "fractional"])
+def test_seed_must_be_a_whole_number_from_zero(tmp_path, capsys, task, seed, flags):
+    path = write_spec(tmp_path, task=task, trials=10_000, seed=seed)
+    assert main(["run", str(path), "--out", str(tmp_path / "r"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'seed'" in err, err
+
+
+def test_rademacher_sigma_must_be_positive(tmp_path, capsys):
+    path = write_spec(tmp_path, game={
+        **_UNIT_GAME, "source": {"family": "rademacher", "sigma": -1.0}})
+    assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sigma" in err, err
+
+
+_LAPLACE_GAME = {**_UNIT_GAME, "source": {"family": "laplace", "variance": 1.0}}
+
+
+@pytest.mark.parametrize("overrides, param", [
+    ({"task": "mmse", "game": _LAPLACE_GAME}, "power_jam"),
+    ({"task": "match"}, "order"),
+    ({"task": "saddle", "trials": 10_000, "seed": 1}, "order"),
+    ({"task": "worst_noise", "seed": 1}, "power_tx"),
+    ({"task": "asymptotic", "betas": [1.0], "direction": "low_csnr"}, "power_jam"),
+], ids=["mmse", "match", "saddle", "worst-noise", "asymptotic-low"])
+def test_sweep_over_a_parameter_the_task_ignores_is_refused(tmp_path, capsys,
+                                                            overrides, param):
+    path = write_spec(tmp_path, **overrides)
+    out = tmp_path / "r"
+    assert main(["sweep", str(path), "--param", param, "--values", "1,10",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{param}'" in err \
+        and f"'{overrides['task']}'" in err, err
+    assert not out.exists()
+
+
+def test_sweep_power_jam_over_the_high_csnr_limit(tmp_path):
+    path = write_spec(tmp_path, task="asymptotic", betas=[1.0],
+                      direction="high_csnr", game={
+                          **_UNIT_GAME, "channel_noise": {"family": "laplace",
+                                                          "variance": 1.0}})
+    out = tmp_path / "r"
+    assert main(["sweep", str(path), "--param", "power_jam", "--values", "1,4",
+                 "--out", str(out)]) == 0
+    rows = (out / "unit-gauss_sweep_power_jam.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[1].split(",")[1:] != rows[2].split(",")[1:]

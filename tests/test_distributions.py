@@ -303,3 +303,9 @@ def test_required_half_width_honours_tail_target(name, v):
     d = FAMILIES[name](v)
     L = d.required_half_width(1e-12)
     assert d.tail_mass_outside(L) <= 1.01e-12
+
+
+@pytest.mark.parametrize("sigma", [-2.0, 0.0, float("inf"), float("nan")])
+def test_rademacher_sigma_must_be_finite_and_positive(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        jl.rademacher_scaled(sigma)

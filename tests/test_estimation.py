@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import fftconvolve
 
 import jamlab as jl
 from jamlab.errors import GridTooNarrow
-from jamlab.estimation import (best_linear_gain, distortion_of,
+from jamlab.estimation import (best_linear_gain, convolve_tables, distortion_of,
                                linear_benchmark, matched_source_check,
                                mmse_estimator, output_density)
 
@@ -178,3 +184,28 @@ def test_output_density_integrates_to_one():
     g = jl.default_grid(jl.laplace(1.0), jl.gaussian(1.0))
     fu = output_density(jl.laplace(1.0), jl.gaussian(1.0), g)
     assert fu.sum() * g.dx == pytest.approx(1.0, abs=1e-9)
+
+
+# -- the grid convolution ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2048, 4096, 8192])
+def test_convolve_tables_is_bitwise_fftconvolve(n):
+    # scipy.signal.fftconvolve stays in the tests as the oracle
+    g = jl.GridSpec(20.0, n)
+    fx, fz = jl.laplace(1.0).pdf_on(g), jl.uniform(2.0).pdf_on(g)
+    rng = np.random.default_rng(n)
+    for f, h in ((g.x * fx, fz), (fx, fz), (rng.random(n), rng.normal(size=n))):
+        want = fftconvolve(f, h)[n // 2: n // 2 + n] * g.dx
+        assert convolve_tables(f, h, g).tobytes() == want.tobytes()
+
+
+def test_import_loads_no_scipy_signal():
+    src = str(Path(jl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys, jamlab, jamlab.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.signal')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -336,3 +336,29 @@ def test_exploit_requires_correlation():
         bernoulli_exploit_check(UNIT_CFG, [0.5],
                                 CorrelatedJammer(0.0, jl.gaussian(1.0)),
                                 10_000, seed=1)
+
+
+def test_decoder_deposit_convolution_is_bitwise_fftconvolve(monkeypatch):
+    # the 2-row convolution of the deposits with f_V, against the oracle
+    # scipy.signal.fftconvolve with the kernel broadcast over the rows
+    from scipy.signal import fftconvolve
+    tables, ratio_args = [], []
+    floored = gamesim._floored_ratio
+
+    class Spy(gamesim._GridConvolution):
+        def spectrum(self, t):
+            tables.append(t)
+            return super().spectrum(t)
+
+    def spy_ratio(num, den):
+        ratio_args.append(np.stack([num, den]))
+        return floored(num, den)
+
+    monkeypatch.setattr(gamesim, "_GridConvolution", Spy)
+    monkeypatch.setattr(gamesim, "_floored_ratio", spy_ratio)
+    mmse_decoder_for_encoder(UNIT_CFG, companding_encoders(UNIT_CFG)[0],
+                             jl.laplace(1.0))
+    (deposits, fv), (got,) = tables, ratio_args
+    n = fv.size
+    want = fftconvolve(deposits, fv[None, :], axes=1)[:, n // 2: n // 2 + n]
+    assert deposits.shape == (2, n) and got.tobytes() == want.tobytes()
