@@ -19,6 +19,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,6 @@ from .matching import (JammingGameConfig, asymptotic_gaussianization,
                        gaussian_source_limit_check, synthesize_jammer)
 from .polyexpand import GaussianMixtureFamily, _mmse_report, worst_noise_search
 
-TASKS = ("match", "saddle", "deviate", "mmse", "worst_noise", "asymptotic")
-STOCHASTIC_TASKS = ("saddle", "deviate", "worst_noise")
 SWEEP_PARAMS = ("beta", "power_jam", "power_tx", "order")
 
 
@@ -49,29 +48,34 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _num(value, field: str, kind=float):
-    """``kind(value)``, or a ConfigError naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"field '{field}' is not a valid {kind.__name__}: "
-                          f"{value!r}") from None
+    """``kind(value)``, or a ConfigError naming the field.  JSON ``true`` and
+    ``false`` are not numbers."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"field '{field}' is not a valid {kind.__name__}: {value!r}")
 
 
 def _numbers(value, field: str) -> list:
     """A non-empty JSON list of numbers, or a ConfigError naming the field."""
-    if not (isinstance(value, list) and value
-            and all(isinstance(v, (int, float)) for v in value)):
+    if not (isinstance(value, list) and value and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ConfigError(f"field '{field}' must be a non-empty list of numbers")
     return value
 
 
-def _seed(spec: dict) -> int:
-    """The spec's seed, a whole number from 0, or a ConfigError naming it."""
-    value = spec["seed"]
-    seed = _num(value, "seed", int)
-    if seed < 0 or (isinstance(value, float) and value != seed):
-        raise ConfigError(f"field 'seed' must be a whole number from 0, got {value!r}")
-    return seed
+def _whole(value, field: str, least: int | None = None) -> int:
+    """``value`` as a whole number, from ``least`` where given, or a
+    ConfigError naming the field: a fraction is refused, not truncated."""
+    whole = _num(value, field, int)
+    if (isinstance(value, float) and value != whole) or (
+            least is not None and whole < least):
+        bound = "" if least is None else f" from {least}"
+        raise ConfigError(f"field '{field}' must be a whole number{bound}, "
+                          f"got {value!r}")
+    return whole
 
 
 def _grid_field(spec: dict) -> dict:
@@ -79,13 +83,6 @@ def _grid_field(spec: dict) -> dict:
     if not isinstance(g, dict):
         raise ConfigError(f"field 'grid' must be a JSON object, not {type(g).__name__}")
     return g
-
-
-def _trials(spec: dict) -> int:
-    trials = _num(spec.get("trials", 1_000_000), "trials", int)
-    if trials < MIN_TRIALS:
-        raise ConfigError(f"field 'trials' must be at least {MIN_TRIALS}, got {trials}")
-    return trials
 
 
 def build_model(spec: dict, base_dir: Path) -> DistributionModel:
@@ -140,7 +137,9 @@ def build_game(game: dict, base_dir: Path) -> JammingGameConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_spec(path: str | Path) -> dict:
+def load_spec(path: str | Path, seed: int | None = None) -> dict:
+    """Read and check a spec file; ``seed``, where given, replaces the spec's
+    seed before the check that a stochastic task has one."""
     path = Path(path)
     try:
         spec = json.loads(path.read_text())
@@ -149,11 +148,16 @@ def load_spec(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"spec file {path} is not valid JSON: {exc}")
     task = _require(spec, "task", "spec")
-    if task not in TASKS:
-        raise ConfigError(f"unknown task '{task}'; expected one of {TASKS}")
-    _require(spec, "name", "spec")
+    if not isinstance(task, str) or task not in _TASKS:
+        raise ConfigError(f"unknown task '{task}'; expected one of {tuple(_TASKS)}")
+    name = _require(spec, "name", "spec")
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"field 'name' must be a non-empty file name without a "
+                          f"path separator, got {name!r}")
     _require(spec, "game", "spec")
-    if task in STOCHASTIC_TASKS and "seed" not in spec:
+    if seed is not None:
+        spec["seed"] = seed
+    if _TASKS[task].seeded and "seed" not in spec:
         raise ConfigError(f"task '{task}' is stochastic: a seed is mandatory")
     spec["__dir__"] = str(path.parent)
     return spec
@@ -163,7 +167,7 @@ def _grid_from(spec: dict, default) -> GridSpec:
     """The spec's grid where it sets a half-width; otherwise ``default(n)``,
     the task's own default grid at the requested number of points n."""
     g = _grid_field(spec)
-    points = _num(g.get("num_points", 4096), "grid.num_points", int)
+    points = _whole(g.get("num_points", 4096), "grid.num_points")
     try:
         if "half_width" in g:
             return GridSpec(_num(g["half_width"], "grid.half_width"), points)
@@ -220,7 +224,8 @@ def derive_quantities(game: dict, base_dir: Path | None = None) -> dict:
 
 # -- tasks --------------------------------------------------------------------
 # Each returns (exit code, outputs, the grid it ran on, its CSV tables as
-# {kind: (header, columns)}); ``run`` writes the files.
+# {kind: (header, columns)}, its sweep row as {column: value}); ``run`` writes
+# the files.
 
 
 def _task_match(spec, cfg, strict_paper):
@@ -239,16 +244,18 @@ def _task_match(spec, cfg, strict_paper):
     if result.matched:
         tables["jammer_density"] = (["x", "density"],
                                     [g.x, result.jammer_density.table])
-    return 0, outputs, g, tables
+    return 0, outputs, g, tables, {"verdict": result.verdict,
+                                   "jammer_variance": result.jammer_variance,
+                                   "saddle_cost": cfg.saddle_cost}
 
 
 def _task_saddle(spec, cfg, strict_paper):
-    trials = _trials(spec)
+    trials = _whole(spec.get("trials", 1_000_000), "trials", MIN_TRIALS)
     grid = _grid_from(spec, cfg.grid_for)
     match = synthesize_jammer(cfg, grid)
     jammer = match.jammer_density if match.matched else gaussian(cfg.power_jam)
     profile = saddle_profile(cfg, jammer, strict_paper=strict_paper)
-    outcome = simulate(cfg, profile, trials, _seed(spec))
+    outcome = simulate(cfg, profile, trials, _whole(spec["seed"], "seed", 0))
     outputs = {
         "jammer": "matched" if match.matched else "gaussian-fallback",
         "empirical_cost": outcome.empirical_cost,
@@ -257,12 +264,13 @@ def _task_saddle(spec, cfg, strict_paper):
         "theoretical_cost": outcome.theoretical_cost,
         "z_score": outcome.z_score,
     }
-    return 0, outputs, grid, {}
+    return 0, outputs, grid, {}, {k: outputs[k] for k in (
+        "empirical_cost", "std_error", "theoretical_cost", "z_score")}
 
 
 def _task_deviate(spec, cfg, strict_paper):
-    trials = _trials(spec)
-    seed = _seed(spec)
+    trials = _whole(spec.get("trials", 1_000_000), "trials", MIN_TRIALS)
+    seed = _whole(spec["seed"], "seed", 0)
     rho = _num(spec.get("rho", 0.7), "rho")
     if not -1.0 <= rho <= 1.0:
         raise ConfigError(f"field 'rho' must lie in [-1, 1], got {rho}")
@@ -290,11 +298,12 @@ def _task_deviate(spec, cfg, strict_paper):
     table = [[str(e[k]) if k == "passed" else e[k] for e in entries] for k in header]
     ok = rhs.all_passed and lhs.all_passed
     outputs = {"entries": entries, "exploit": ex_entries, "all_passed": ok}
-    return (0 if ok else 2), outputs, grid, {"deviations": (header, table)}
+    return (0 if ok else 2), outputs, grid, {"deviations": (header, table)}, {
+        "all_passed": float(ok)}
 
 
 def _task_mmse(spec, cfg, strict_paper):
-    order = _num(spec.get("order", 6), "order", int)
+    order = _whole(spec.get("order", 6), "order")
     grid = _grid_from(spec, lambda n: default_grid(
         cfg.source, cfg.channel_noise, num_points=n))
     try:
@@ -310,19 +319,20 @@ def _task_mmse(spec, cfg, strict_paper):
     }
     return 0, outputs, grid, {
         "estimator": (["u", "h"], [grid.x, curve.values]),
-        "coefficients": (["m", "c"], [np.arange(len(coeffs.c)), coeffs.c])}
+        "coefficients": (["m", "c"], [np.arange(len(coeffs.c)), coeffs.c]),
+    }, {k: outputs[k] for k in ("mmse", "mmse_poly", "gap")}
 
 
 def _task_worst_noise(spec, cfg, strict_paper):
-    order = _num(spec.get("order", 6), "order", int)
-    k = _num(spec.get("mixture_components", 3), "mixture_components", int)
+    order = _whole(spec.get("order", 6), "order")
+    k = _whole(spec.get("mixture_components", 3), "mixture_components")
     try:
         family = GaussianMixtureFamily(k)
     except ValueError as exc:
         raise ConfigError(f"field 'mixture_components': {exc}") from None
     _grid_from(spec, lambda n: GridSpec(1.0, n))  # a bad grid fails before searching
     res = worst_noise_search(cfg.source, cfg.power_jam, order, family,
-                             seed=_seed(spec))
+                             seed=_whole(spec["seed"], "seed", 0))
     outputs = {
         "objective": res.objective,
         "mmse_attained": res.mmse_attained,
@@ -332,7 +342,8 @@ def _task_worst_noise(spec, cfg, strict_paper):
     }
     grid = _grid_from(spec, lambda n: default_grid(res.noise, num_points=n))
     return 0, outputs, grid, {"worst_noise_density": (
-        ["x", "density"], [grid.x, res.noise.pdf_on(grid)])}
+        ["x", "density"], [grid.x, res.noise.pdf_on(grid)])}, {
+        k: outputs[k] for k in ("objective", "mmse_attained")}
 
 
 def _task_asymptotic(spec, cfg, strict_paper):
@@ -355,31 +366,40 @@ def _task_asymptotic(spec, cfg, strict_paper):
                          else [f"distance_{k}" for k in keys])
     columns = [[r[k] for r in rows] for k in ["beta"] + keys]
     return 0, {"direction": direction, "distances": rows}, grid, {
-        "asymptotic": (header, columns)}
+        "asymptotic": (header, columns)}, {k: rows[0][k] for k in keys}
 
 
-_TASK_FNS = {
-    "match": _task_match,
-    "saddle": _task_saddle,
-    "deviate": _task_deviate,
-    "mmse": _task_mmse,
-    "worst_noise": _task_worst_noise,
-    "asymptotic": _task_asymptotic,
+class _Task(NamedTuple):
+    runner: Callable  # (spec, cfg, strict_paper) -> the task's run record
+    seeded: bool  # the spec must hold a seed
+    sweeps: tuple  # the sweep parameters the task reads
+
+
+_POWERS = ("beta", "power_jam", "power_tx")
+_TASKS = {
+    "match": _Task(_task_match, False, _POWERS),
+    "saddle": _Task(_task_saddle, True, _POWERS),
+    "deviate": _Task(_task_deviate, True, _POWERS),
+    "mmse": _Task(_task_mmse, False, ("order",)),
+    "worst_noise": _Task(_task_worst_noise, True, ("beta", "power_jam")),
+    "asymptotic": _Task(_task_asymptotic, False, ("beta",)),
 }
 
 
 def run(spec: dict, out_dir: Path, strict_paper: bool = False) -> tuple[int, dict]:
     """Execute a validated spec: write ``<name>_<kind>.csv`` for each of the
-    task's tables, then the manifest.  Returns the exit code and the manifest."""
+    task's tables, then the manifest.  Returns the exit code and the task's
+    sweep row."""
     cfg = build_game(spec["game"], Path(spec.get("__dir__", ".")))
-    code, outputs, grid, tables = _TASK_FNS[spec["task"]](spec, cfg, strict_paper)
+    code, outputs, grid, tables, row = _TASKS[spec["task"]].runner(
+        spec, cfg, strict_paper)
     out_dir.mkdir(parents=True, exist_ok=True)
     for kind, (header, columns) in tables.items():
         _write_csv(out_dir / f"{spec['name']}_{kind}.csv", header, columns)
     manifest = _manifest(spec, cfg, outputs, grid, strict_paper)
     (out_dir / f"{spec['name']}_result.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return code, manifest
+    return code, row
 
 
 def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
@@ -388,7 +408,7 @@ def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
     if parameter not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}")
     task = spec["task"]
-    reads = _SWEEP_TASKS[task][0]
+    reads = _TASKS[task].sweeps
     if task == "asymptotic" and spec.get("direction") == "high_csnr":
         reads += ("power_jam",)  # the Gaussian-source limit runs at P_A
     if parameter not in reads:
@@ -399,7 +419,7 @@ def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
             raise ConfigError("sweep values of 'order' must be whole numbers")
     elif any(not np.isfinite(v) or v <= 0 for v in values):
         raise ConfigError("sweep values must be finite and positive")
-    rows, header, worst = [], None, 0
+    rows, worst = [], 0
     for v in values:
         sub = json.loads(json.dumps({k: w for k, w in spec.items()
                                      if not k.startswith("__")}))
@@ -421,42 +441,12 @@ def sweep(spec: dict, parameter: str, values: list[float], out_dir: Path,
         else:
             game[parameter] = v
         sub["name"] = f"{spec['name']}_{parameter}_{v:g}"
-        code, manifest = run(sub, out_dir, strict_paper)
+        code, row = run(sub, out_dir, strict_paper)
         worst = max(worst, code)
-        row, cols = _sweep_row(manifest)
-        if header is None:
-            header = [parameter] + cols
-        rows.append([v] + row)
-    _write_csv(out_dir / f"{spec['name']}_sweep_{parameter}.csv", header,
-               list(zip(*rows)))
+        rows.append([v, *row.values()])
+    _write_csv(out_dir / f"{spec['name']}_sweep_{parameter}.csv",
+               [parameter, *row], list(zip(*rows)))
     return worst
-
-
-_POWERS = ("beta", "power_jam", "power_tx")
-_SWEEP_TASKS = {  # per task: the sweep parameters it reads, the outputs a row copies
-    "match": (_POWERS, None),
-    "saddle": (_POWERS, ["empirical_cost", "std_error", "theoretical_cost", "z_score"]),
-    "deviate": (_POWERS, None),
-    "mmse": (("order",), ["mmse", "mmse_poly", "gap"]),
-    "worst_noise": (("beta", "power_jam"), ["objective", "mmse_attained"]),
-    "asymptotic": (("beta",), None),
-}
-
-
-def _sweep_row(manifest: dict):
-    task, out = manifest["task"], manifest["outputs"]
-    cols = _SWEEP_TASKS[task][1]
-    if cols:
-        return [out[k] for k in cols], cols
-    if task == "match":
-        return ([out["verdict"], out["jammer_variance"] or float("nan"),
-                 manifest["derived"]["saddle_cost"]],
-                ["verdict", "jammer_variance", "saddle_cost"])
-    if task == "asymptotic":
-        d = out["distances"][0]
-        keys = [k for k in sorted(d) if k != "beta"]
-        return [d[k] for k in keys], keys
-    return [float(out["all_passed"])], ["all_passed"]  # deviate
 
 
 # -- entry point ------------------------------------------------------------------
@@ -488,9 +478,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        spec = load_spec(args.spec)
-        if args.seed is not None:
-            spec["seed"] = args.seed
+        spec = load_spec(args.spec, args.seed)
         for key, flag in (("num_points", args.grid_points),
                           ("half_width", args.grid_halfwidth)):
             if flag is not None:

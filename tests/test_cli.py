@@ -100,12 +100,21 @@ def _with_source(**fields):
     ({"task": "worst_noise", "seed": 1, "mixture_components": 5}, "run",
      "'mixture_components'"),
     ({"task": "asymptotic", "betas": [1, math.inf]}, "run", "'betas'"),
+    ({"task": "mmse", "order": 2.5}, "run", "'order'"),
+    ({"task": "worst_noise", "seed": 1, "mixture_components": 2.7}, "run",
+     "'mixture_components'"),
+    ({"task": "saddle", "trials": 10_000.9, "seed": 1}, "run", "'trials'"),
+    ({"grid": {"num_points": 4096.5}}, "run", "'grid.num_points'"),
+    ({"game": {**_UNIT_GAME, "power_tx": True}}, "run", "'power_tx'"),
+    ({"task": "asymptotic", "betas": [True, 2.0]}, "run", "'betas'"),
 ], ids=["family", "list-spec", "variance", "seed", "order", "num-points",
         "trials", "betas", "sweep-values", "grid", "p-values-type",
         "p-values-range", "mixture-components", "betas-sign",
         "betas-order", "num-points-range", "half-width-sign", "grid-zeros",
         "rho-range", "order-range", "order-ill-conditioned", "grid-points-flag",
-        "tabulated-missing-file", "mixture-components-cap", "betas-infinite"])
+        "tabulated-missing-file", "mixture-components-cap", "betas-infinite",
+        "order-fraction", "mixture-components-fraction", "trials-fraction",
+        "num-points-fraction", "power-tx-bool", "betas-bool"])
 def test_malformed_field_is_a_config_error(tmp_path, capsys, overrides,
                                            command, field):
     if isinstance(overrides, dict):
@@ -440,6 +449,29 @@ def test_manifest_records_strict_paper(tmp_path, flags):
     assert manifest["inputs"]["strict_paper"] is bool(flags)
 
 
+@pytest.mark.parametrize("name", ["../esc", "sub/x", "", ".", "..", 3])
+def test_name_must_be_a_file_name(tmp_path, capsys, name):
+    path = write_spec(tmp_path, name=name)
+    out = tmp_path / "a" / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'name'" in err, err
+    assert [p for p in tmp_path.rglob("*") if p != path] == []
+
+
+def test_seed_flag_supplies_a_missing_seed(tmp_path):
+    seedless = write_spec(tmp_path, task="saddle", trials=10_000)
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({**json.loads(seedless.read_text()), "seed": 7}))
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", str(seedless), "--out", str(out_a), "--seed", "7"]) == 0
+    assert main(["run", str(seeded), "--out", str(out_b)]) == 0
+    files = sorted(p.name for p in out_a.iterdir())
+    assert files == sorted(p.name for p in out_b.iterdir()) and files
+    for f in files:
+        assert (out_a / f).read_bytes() == (out_b / f).read_bytes()
+
+
 def test_seed_override_changes_draws(tmp_path):
     path = write_spec(tmp_path, task="saddle", trials=20_000, seed=3)
     out = tmp_path / "results"
@@ -564,6 +596,38 @@ def test_asymptotic_task_high_csnr(tmp_path):
 
 
 # -- sweep -----------------------------------------------------------------------
+
+
+_LAPLACE_NOISE_GAME = {**_UNIT_GAME,
+                       "channel_noise": {"family": "laplace", "variance": 1.0}}
+
+
+@pytest.mark.parametrize("overrides, param, values, header", [
+    ({}, "power_jam", "1,2", "power_jam,verdict,jammer_variance,saddle_cost"),
+    ({"task": "saddle", "trials": 10_000, "seed": 5}, "power_jam", "1,2",
+     "power_jam,empirical_cost,std_error,theoretical_cost,z_score"),
+    ({"task": "deviate", "trials": 10_000, "seed": 5}, "power_tx", "1,2",
+     "power_tx,all_passed"),
+    ({"task": "mmse"}, "order", "2,4", "order,mmse,mmse_poly,gap"),
+    ({"task": "worst_noise", "seed": 3, "order": 4, "mixture_components": 2},
+     "power_jam", "1,2", "power_jam,objective,mmse_attained"),
+    ({"task": "asymptotic", "betas": [1.0], "direction": "low_csnr"}, "beta",
+     "1,4", "beta,distance"),
+    ({"task": "asymptotic", "betas": [1.0], "direction": "high_csnr",
+      "game": _LAPLACE_NOISE_GAME}, "beta", "1,0.5",
+     "beta,gaussian,laplace,uniform"),
+], ids=["match", "saddle", "deviate", "mmse", "worst-noise", "asymptotic-low",
+        "asymptotic-high"])
+def test_sweep_csv_header_and_rows_per_task(tmp_path, overrides, param, values,
+                                            header):
+    path = write_spec(tmp_path, **overrides)
+    out = tmp_path / "results"
+    assert main(["sweep", str(path), "--param", param, "--values", values,
+                 "--out", str(out)]) == 0
+    rows = (out / f"unit-gauss_sweep_{param}.csv").read_text().splitlines()
+    assert rows[0] == header
+    assert [r.split(",")[0] for r in rows[1:]] == values.split(",")
+    assert all(len(r.split(",")) == len(rows[0].split(",")) for r in rows)
 
 
 def test_sweep_power_jam_matches_formula(tmp_path):
