@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import fft as sfft
 
 from .distributions import DistributionModel, tabulated
 from .errors import (ExcessImaginary, GridMismatch, GridTooNarrow,
@@ -77,19 +78,20 @@ class CharacteristicFunction:
 
 
 def _swap_halves(a: np.ndarray) -> np.ndarray:
-    # both fftshift and ifftshift on the even grids GridSpec enforces
+    # both fftshift and ifftshift on the even grids GridSpec enforces; complex,
+    # since SciPy's real-input FFT rounds unlike numpy's and its complex one does not
     h = len(a) // 2
-    return np.concatenate((a[h:], a[:h]))
+    return np.concatenate((a[h:], a[:h]), dtype=complex)
 
 
 def _density_to_cf_values(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     n = grid.num_points
-    return _swap_halves(np.fft.ifft(_swap_halves(f))) * (n * grid.dx)
+    return _swap_halves(sfft.ifft(_swap_halves(f))) * (n * grid.dx)
 
 
 def _cf_values_to_density(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     n = grid.num_points
-    return _swap_halves(np.fft.fft(_swap_halves(vals))) / (n * grid.dx)
+    return _swap_halves(sfft.fft(_swap_halves(vals))) / (n * grid.dx)
 
 
 def _unwrap(p: np.ndarray) -> np.ndarray:

@@ -45,10 +45,11 @@ class EstimatorCurve:
 
 class _GridConvolution:
     """Linear convolution of n-point tables, each a row of the last axis, by
-    real FFTs; cut back to the n grid samples and scaled by ``dx``."""
+    real FFTs; cut back to the n grid samples and scaled by ``dx``.  For the
+    power-of-two n of a GridSpec, 2n is SciPy's fast length for 2n - 1."""
 
     def __init__(self, n: int, dx: float = 1.0):
-        self.n, self.dx, self.size = n, dx, sfft.next_fast_len(2 * n - 1, real=True)
+        self.n, self.dx, self.size = n, dx, 2 * n
 
     def spectrum(self, tables):
         return sfft.rfft(tables, self.size)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .charfun import cf_divide, cf_of, cf_power, check_validity
 from .distributions import (DistributionModel, default_grid, gaussian,
@@ -484,6 +483,7 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
         return NoiseSearchResult(noise=tabulated(grid, fz), objective=tail,
                                  mmse_attained=mmse, iterations=steps,
                                  converged=converged)
+    from scipy.optimize import minimize  # loaded only when a mixture search runs
     objective = _mixture_objective(energy, family.k, noise_budget, grid)
     rng = np.random.default_rng(seed)
     best = best_x = None
