@@ -151,9 +151,10 @@ def load_spec(path: str | Path, seed: int | None = None) -> dict:
     if not isinstance(task, str) or task not in _TASKS:
         raise ConfigError(f"unknown task '{task}'; expected one of {tuple(_TASKS)}")
     name = _require(spec, "name", "spec")
-    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+    if (not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
+            or Path(name).name != name):
         raise ConfigError(f"field 'name' must be a non-empty file name without a "
-                          f"path separator, got {name!r}")
+                          f"path separator or NUL, got {name!r}")
     _require(spec, "game", "spec")
     if seed is not None:
         spec["seed"] = seed
@@ -389,11 +390,15 @@ _TASKS = {
 def run(spec: dict, out_dir: Path, strict_paper: bool = False) -> tuple[int, dict]:
     """Execute a validated spec: write ``<name>_<kind>.csv`` for each of the
     task's tables, then the manifest.  Returns the exit code and the task's
-    sweep row."""
+    sweep row.  The output directory is made before the task runs."""
     cfg = build_game(spec["game"], Path(spec.get("__dir__", ".")))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {str(out_dir)!r} is not a directory that can "
+                          f"be written: {exc.strerror or exc}")
     code, outputs, grid, tables, row = _TASKS[spec["task"]].runner(
         spec, cfg, strict_paper)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for kind, (header, columns) in tables.items():
         _write_csv(out_dir / f"{spec['name']}_{kind}.csv", header, columns)
     manifest = _manifest(spec, cfg, outputs, grid, strict_paper)

@@ -382,8 +382,10 @@ def verify_rhs_inequality(cfg: JammingGameConfig, trials: int, seed: int,
                           jammer_model: DistributionModel | None = None) -> DeviationReport:
     """No encoder deviation beats the saddle value against the matched jammer.
 
-    Each candidate encoder is decoded by its own conditional-mean decoder and
-    must score at least the saddle cost minus ``_SIGMA_GATE`` standard errors.
+    The jammer is the one ``saddle_profile`` plays, rescaled to the jam
+    budget.  Each candidate encoder is decoded by its own conditional-mean
+    decoder and must score at least the saddle cost minus ``_SIGMA_GATE``
+    standard errors.
     """
     if jammer_model is None:
         result = synthesize_jammer(cfg)
@@ -391,11 +393,12 @@ def verify_rhs_inequality(cfg: JammingGameConfig, trials: int, seed: int,
             raise InvalidProfile("encoder-side check needs a matched jammer; "
                                  f"synthesis said: {result.reason}")
         jammer_model = result.jammer_density
+    jammer = saddle_profile(cfg, jammer_model).jammer
     if encoders is None:
         encoders = companding_encoders(cfg)
     return _priced(cfg, trials, seed, "encoder", (
-        (enc.label, StrategyProfile(enc, IndependentNoise(jammer_model),
-                                    mmse_decoder_for_encoder(cfg, enc, jammer_model)))
+        (enc.label, StrategyProfile(enc, jammer,
+                                    mmse_decoder_for_encoder(cfg, enc, jammer.model)))
         for enc in encoders))
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jamlab as jl
-from jamlab.charfun import CharacteristicFunction, _swap_halves, _unwrap
+from jamlab.charfun import (CharacteristicFunction, _cf_values_to_density,
+                            _density_to_cf_values, _swap_halves, _unwrap)
 from jamlab.errors import (ExcessImaginary, GridMismatch, GridTooNarrow,
                            NotHermitian, ZeroCrossing)
 
@@ -173,6 +174,21 @@ def test_half_swap_is_both_fft_shifts(n):
     a = np.arange(n) + 1j * np.arange(n)[::-1]
     assert np.array_equal(_swap_halves(a), np.fft.fftshift(a))
     assert np.array_equal(_swap_halves(a), np.fft.ifftshift(a))
+
+
+@pytest.mark.parametrize("n", [2048, 4096, 8192])
+def test_centred_transforms_are_bitwise_numpy_fft(n):
+    # numpy's FFT stays in the tests as the oracle, for real and complex input
+    g = jl.GridSpec(20.0, n)
+    rng = np.random.default_rng(n)
+    scale = n * g.dx
+    for a in (jl.laplace(1.0).pdf_on(g), rng.normal(size=n),
+              jl.cf_of(jl.laplace(1.0), g).values,
+              rng.normal(size=n) + 1j * rng.normal(size=n)):
+        cf = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(a))) * scale
+        density = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(a))) / scale
+        assert _density_to_cf_values(a, g).tobytes() == cf.tobytes()
+        assert _cf_values_to_density(a, g).tobytes() == density.tobytes()
 
 
 def test_power_one_is_bitwise_identity():

@@ -449,7 +449,7 @@ def test_manifest_records_strict_paper(tmp_path, flags):
     assert manifest["inputs"]["strict_paper"] is bool(flags)
 
 
-@pytest.mark.parametrize("name", ["../esc", "sub/x", "", ".", "..", 3])
+@pytest.mark.parametrize("name", ["../esc", "sub/x", "", ".", "..", 3, "a\0b"])
 def test_name_must_be_a_file_name(tmp_path, capsys, name):
     path = write_spec(tmp_path, name=name)
     out = tmp_path / "a" / "out"
@@ -457,6 +457,17 @@ def test_name_must_be_a_file_name(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'name'" in err, err
     assert [p for p in tmp_path.rglob("*") if p != path] == []
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "power_jam",
+                                               "--values", "1,2"]])
+def test_out_naming_a_file_is_an_error_line(tmp_path, capsys, command):
+    path = write_spec(tmp_path)
+    spec = path.read_bytes()
+    assert main([command[0], str(path), *command[1:], "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == spec
 
 
 def test_seed_flag_supplies_a_missing_seed(tmp_path):
@@ -746,6 +757,19 @@ def test_deviate_violation_exits_two(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "verify_rhs_inequality", fake_rhs)
     path = write_spec(tmp_path, task="deviate", trials=10_000, seed=19)
     assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 2
+
+
+def test_deviate_plays_the_saddle_jammer_on_a_matched_game(tmp_path):
+    # the matched uniform table's quadrature variance is 1.00367, over P_A by
+    # more than the power tolerance; saddle_profile rescales it to P_A, and
+    # the encoder-side deviations must play that same jammer
+    game = {**_UNIT_GAME, "source": {"family": "uniform", "variance": 1.0},
+            "channel_noise": {"family": "uniform", "variance": 1.0}}
+    path = write_spec(tmp_path, task="deviate", trials=10_000, seed=1, game=game)
+    out = tmp_path / "results"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    entries = json.loads((out / "unit-gauss_result.json").read_text())["outputs"]["entries"]
+    assert len(entries) == 6 and all(e["passed"] for e in entries)
 
 
 def test_worst_noise_task(tmp_path):

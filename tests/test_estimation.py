@@ -6,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 from scipy.signal import fftconvolve
 
 import jamlab as jl
 from jamlab.errors import GridTooNarrow
-from jamlab.estimation import (best_linear_gain, convolve_tables, distortion_of,
-                               linear_benchmark, matched_source_check,
-                               mmse_estimator, output_density)
+from jamlab.estimation import (_GridConvolution, best_linear_gain, convolve_tables,
+                               distortion_of, linear_benchmark,
+                               matched_source_check, mmse_estimator,
+                               output_density)
 
 
 def dense_oracle(source, noise, n_mult=4, grid=None):
@@ -200,12 +202,19 @@ def test_convolve_tables_is_bitwise_fftconvolve(n):
         assert convolve_tables(f, h, g).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [2**k for k in range(6, 16)])
+def test_twice_the_grid_is_the_fast_convolution_length(n):
+    # why _GridConvolution transforms at 2n: SciPy's fast length for 2n - 1
+    assert _GridConvolution(n).size == sfft.next_fast_len(2 * n - 1, real=True)
+
+
 def test_import_loads_no_scipy_signal():
+    # nor scipy.optimize, which only a mixture search imports
     src = str(Path(jl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    code = ("import sys, jamlab, jamlab.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy.signal')])")
+    code = ("import sys, jamlab, jamlab.cli; print([m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.optimize'))])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
