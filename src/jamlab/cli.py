@@ -390,15 +390,26 @@ _TASKS = {
 def run(spec: dict, out_dir: Path, strict_paper: bool = False) -> tuple[int, dict]:
     """Execute a validated spec: write ``<name>_<kind>.csv`` for each of the
     task's tables, then the manifest.  Returns the exit code and the task's
-    sweep row.  The output directory is made before the task runs."""
+    sweep row.  The output directory is made before the task runs, and the
+    directories made here are removed again if the task fails while they
+    are still empty."""
     cfg = build_game(spec["game"], Path(spec.get("__dir__", ".")))
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"--out {str(out_dir)!r} is not a directory that can "
-                          f"be written: {exc.strerror or exc}")
-    code, outputs, grid, tables, row = _TASKS[spec["task"]].runner(
-        spec, cfg, strict_paper)
+                          f"be written: {getattr(exc, 'strerror', None) or exc}")
+    try:
+        code, outputs, grid, tables, row = _TASKS[spec["task"]].runner(
+            spec, cfg, strict_paper)
+    except BaseException:
+        for d in made:  # deepest first; one that holds anything stays
+            try:
+                d.rmdir()
+            except OSError:
+                break
+        raise
     for kind, (header, columns) in tables.items():
         _write_csv(out_dir / f"{spec['name']}_{kind}.csv", header, columns)
     manifest = _manifest(spec, cfg, outputs, grid, strict_paper)

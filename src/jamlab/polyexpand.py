@@ -48,6 +48,7 @@ _BARRIER_FLOOR = 1e-6    # barrier weight floor, relative to the start's peak
 _START_FLOOR = 1e-12     # keeps the Gaussian start positive, same units
 _NEWTON_CAP = 300        # Newton steps per barrier parameter
 _CG_CAP = 300            # conjugate-gradient steps per Newton step
+_CG_MODEL_TOL = 0.5      # Nash-Sofer quadratic-model stopping constant
 _MIXTURE_RESTARTS = 5    # jittered Nelder-Mead starts of the mixture search
 
 
@@ -337,18 +338,22 @@ def _match_moments(f: np.ndarray, rows: np.ndarray, target: np.ndarray,
 
 
 def _projected_cg(hvp, grad, precond, rows, maxiter: int) -> np.ndarray:
-    """Approximate argmin of grad.d + d.K.d/2 subject to rows @ d = 0.
+    """Approximate argmin of q(d) = grad.d + d.K.d/2 subject to rows @ d = 0.
 
     Conjugate gradients on the null space of ``rows`` with the diagonal
     preconditioner ``precond``; the projection is exact in the metric of the
     preconditioner.  Stops once the preconditioned residual r.z falls below
-    a tenth of its starting value.
+    a tenth of its starting value, or once step k lowers q by no more than
+    ``_CG_MODEL_TOL * |q| / k`` (the quadratic-model test of Nash & Sofer,
+    "Assessing a search direction within a truncated-Newton method", Oper.
+    Res. Lett. 9, 1990).  Each step lowers q by alpha (r.z) / 2, so the test
+    costs no product.
     """
     pinv = 1.0 / precond
-    schur = (rows * pinv) @ rows.T
+    schur_inv = np.linalg.inv((rows * pinv) @ rows.T)
 
     def project(r):
-        return pinv * (r - rows.T @ np.linalg.solve(schur, rows @ (pinv * r)))
+        return pinv * (r - rows.T @ (schur_inv @ (rows @ (pinv * r))))
 
     d = np.zeros_like(grad)
     r = grad.copy()
@@ -357,13 +362,18 @@ def _projected_cg(hvp, grad, precond, rows, maxiter: int) -> np.ndarray:
     rz = rz0 = float(r @ z)
     if rz0 <= 0.0:
         return d
-    for _ in range(maxiter):
+    q = 0.0
+    for k in range(1, maxiter + 1):
         kp = hvp(p)
         curv = float(p @ kp)
         if curv <= 0.0:
             break
         alpha = rz / curv
         d += alpha * p
+        drop = 0.5 * alpha * rz
+        q -= drop
+        if k * drop <= _CG_MODEL_TOL * abs(q):
+            break
         r += alpha * kp
         z = project(r)
         rz_next = float(r @ z)
@@ -372,7 +382,7 @@ def _projected_cg(hvp, grad, precond, rows, maxiter: int) -> np.ndarray:
         p = -z + (rz_next / rz) * p
         rz = rz_next
     for _ in range(2):  # remove the round-off drift out of the null space
-        d -= pinv * (rows.T @ np.linalg.solve(schur, rows @ d))
+        d -= pinv * (rows.T @ (schur_inv @ (rows @ d)))
     return d
 
 

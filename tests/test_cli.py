@@ -459,15 +459,34 @@ def test_name_must_be_a_file_name(tmp_path, capsys, name):
     assert [p for p in tmp_path.rglob("*") if p != path] == []
 
 
-@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "power_jam",
-                                               "--values", "1,2"]])
-def test_out_naming_a_file_is_an_error_line(tmp_path, capsys, command):
+_SWEEP = ["sweep", "--param", "power_jam", "--values", "1,2"]
+
+
+@pytest.mark.parametrize("command, out", [
+    (["run"], None), (_SWEEP, None), (["run"], "a\0b"), (_SWEEP, "a\0b")],
+    ids=["command0", "command1", "command0-nul", "command1-nul"])
+def test_out_naming_a_file_is_an_error_line(tmp_path, capsys, command, out):
+    # None: --out names the spec file itself
     path = write_spec(tmp_path)
     spec = path.read_bytes()
-    assert main([command[0], str(path), *command[1:], "--out", str(path)]) == 1
+    out = path if out is None else tmp_path / out
+    assert main([command[0], str(path), *command[1:], "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --out ") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == spec
+
+
+@pytest.mark.parametrize("command", [["run"], _SWEEP], ids=["run", "sweep"])
+def test_refused_spec_leaves_no_out_directory(tmp_path, capsys, command):
+    path = write_spec(tmp_path, task="deviate", seed=1, trials=10)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "a" / "out", kept):
+        assert main([command[0], str(path), *command[1:], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'trials'"), err
+    # the directories the run made are gone; the one that was there stays
+    assert sorted(tmp_path.iterdir()) == [kept, path] and not any(kept.iterdir())
 
 
 def test_seed_flag_supplies_a_missing_seed(tmp_path):
