@@ -453,10 +453,11 @@ def test_grid_table_search_budget_two_regression_pin():
     (2.0, 0.6666936295399573), (1.0, 0.5000075851177015)])
 def test_conjugate_gradients_stop_on_the_model_test_before_the_cap(
         monkeypatch, budget, mmse):
-    # Without the quadratic-model test, Jacobi-preconditioned CG stalls in
-    # the late Newton steps of these searches and runs into the cap (once at
-    # budget 2, five times at budget 1); the test stops it well before, and
-    # the MMSE stays where the capped solves put it.
+    # Jacobi-preconditioned CG stalls in the late Newton steps of these
+    # searches; the quadratic-model test must stop it before the cap.  The
+    # MMSE values are those of the same searches with CG run on to the cap
+    # (once at budget 2, five times at budget 1), so stopping early costs no
+    # accuracy.
     products = []
     solve = polyexpand._projected_cg
 
