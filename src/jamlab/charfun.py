@@ -26,10 +26,9 @@ magnitude above the 1e-6 floor after windowing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .distributions import DistributionModel, tabulated
 from .errors import (ExcessImaginary, GridMismatch, GridTooNarrow,
@@ -54,6 +53,7 @@ class CharacteristicFunction:
     ``validity`` is one of ``"valid"``, ``"invalid"`` or ``"unchecked"``;
     ``reason`` names the first failed check when invalid.  ``truncated``
     marks outputs whose sub-floor region was zeroed by a power or quotient.
+    The constructor keeps a read-only copy of ``values``.
     """
 
     grid: GridSpec
@@ -74,24 +74,61 @@ class CharacteristicFunction:
         return complex(self.values[self.grid.num_points // 2])
 
 
+def _wrap(grid: GridSpec, vals: np.ndarray, validity: str = UNCHECKED,
+          reason: str = "", truncated: bool = False) -> CharacteristicFunction:
+    """A CF around ``vals``, a complex array of the grid's length made in this
+    module and not kept by its maker: frozen in place where the constructor
+    would copy it, since at 8,192 points every copy is a full-grid array."""
+    vals.flags.writeable = False
+    cf = object.__new__(CharacteristicFunction)
+    cf.__dict__.update(grid=grid, values=vals, validity=validity,
+                       reason=reason, truncated=truncated)
+    return cf
+
+
 # -- transforms ----------------------------------------------------------------
 
 
 def _swap_halves(a: np.ndarray) -> np.ndarray:
-    # both fftshift and ifftshift on the even grids GridSpec enforces; complex,
-    # since SciPy's real-input FFT rounds unlike numpy's and its complex one does not
+    # both fftshift and ifftshift on the even grids GridSpec enforces; a new
+    # complex array, so that a transform can run in it in place (numpy's FFT
+    # gives the same bits for a real array and its complex copy)
     h = len(a) // 2
     return np.concatenate((a[h:], a[:h]), dtype=complex)
 
 
+def _centred_transform(a: np.ndarray, transform) -> np.ndarray:
+    """``_swap_halves(transform(_swap_halves(a)))`` in one new full-grid array."""
+    out = _swap_halves(a)
+    transform(out, out=out)
+    h = len(out) // 2
+    left = out[:h].copy()
+    out[:h] = out[h:]
+    out[h:] = left
+    return out
+
+
 def _density_to_cf_values(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    n = grid.num_points
-    return _swap_halves(sfft.ifft(_swap_halves(f))) * (n * grid.dx)
+    vals = _centred_transform(f, np.fft.ifft)
+    vals *= grid.num_points * grid.dx
+    return vals
 
 
 def _cf_values_to_density(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    n = grid.num_points
-    return _swap_halves(sfft.fft(_swap_halves(vals))) / (n * grid.dx)
+    f = _centred_transform(vals, np.fft.fft)
+    f /= grid.num_points * grid.dx
+    return f
+
+
+def _jump_corrections(p: np.ndarray):
+    """(indices into ``np.diff(p)``, 2*pi corrections) of the phase steps of
+    at least pi, NaN steps included, each reduced with numpy's own formula."""
+    d = np.diff(p)
+    jump = np.flatnonzero(~(np.abs(d) < np.pi))
+    dj = d[jump]
+    m = np.mod(dj + np.pi, 2 * np.pi) - np.pi
+    m[(m == -np.pi) & (dj > 0)] = np.pi
+    return jump, m - dj
 
 
 def _unwrap(p: np.ndarray) -> np.ndarray:
@@ -99,23 +136,28 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
 
     np.unwrap reduces every step mod 2*pi and then zeroes the correction
     wherever the step is below pi; here only the steps where ``|d| < pi``
-    fails (NaN included) are reduced, with numpy's own formula.  The
-    corrections are still summed over the whole array, so signed zeros come
-    out as numpy's do.
+    fails (NaN included) are reduced.  The corrections are still summed over
+    the whole array, so signed zeros come out as numpy's do.
     """
-    d = np.diff(p)
-    jump = np.flatnonzero(~(np.abs(d) < np.pi))
+    jump, c = _jump_corrections(p)
     up = p.copy()
     if not len(jump):
         up[1:] += 0.0  # numpy adds a zero correction: -0.0 becomes +0.0
         return up
-    dj = d[jump]
-    m = np.mod(dj + np.pi, 2 * np.pi) - np.pi
-    m[(m == -np.pi) & (dj > 0)] = np.pi
-    corr = np.zeros(len(d))
-    corr[jump] = m - dj
+    corr = np.zeros(len(p) - 1)
+    corr[jump] = c
     up[1:] = p[1:] + np.cumsum(corr)
     return up
+
+
+def _unwrapped_last(p: np.ndarray) -> float:
+    """``_unwrap(p)[-1]`` of two or more phases, without unwrapping the rest:
+    the zero corrections between the jumps leave the running sum as it is,
+    and no correction is -0.0, so the sum over the jumps alone ends on the
+    same bits.  A NaN result is NaN there too, though its sign bit may
+    differ: numpy's add picks the NaN operand by array length."""
+    jump, c = _jump_corrections(p)
+    return p[-1] + (np.cumsum(c)[-1] if len(jump) else 0.0)
 
 
 def _structural_failure(cf: CharacteristicFunction):
@@ -132,17 +174,27 @@ def _structural_failure(cf: CharacteristicFunction):
         return ValueError, f"cf(0) = {z:.6g}, expected 1"
     # index 0 (most negative frequency) has no positive partner on the grid
     tail = cf.values[1:]
-    defect = float(np.max(np.abs(tail - np.conj(tail[::-1]))))
+    gap = np.conj(tail[::-1])
+    np.subtract(tail, gap, out=gap)
+    defect = float(np.max(np.abs(gap)))
     if defect > _CF_ATOL:
         return NotHermitian, f"hermitian symmetry defect {defect:.3g}"
     return None
 
 
-def _windowed_density(cf: CharacteristicFunction) -> np.ndarray:
+def _windowed_floor(cf: CharacteristicFunction) -> float:
+    """Least real part of the Fejer-windowed inversion, worked in one array
+    in the transform's own order: the output's half swap is a permutation,
+    which the minimum does not see."""
     n = cf.grid.num_points
-    j = np.arange(n) - n // 2
-    w = np.maximum(0.0, 1.0 - np.abs(j) / (n // 2))
-    return _cf_values_to_density(cf.values * w, cf.grid)
+    h = n // 2
+    j = np.arange(n)
+    j[h:] -= n  # the frequency index, in the swapped order
+    f = _swap_halves(cf.values)
+    f *= np.maximum(0.0, 1.0 - np.abs(j) / h)
+    np.fft.fft(f, out=f)
+    f /= n * cf.grid.dx
+    return float(f.real.min())
 
 
 # -- construction ----------------------------------------------------------------
@@ -166,7 +218,7 @@ def cf_of(dist: DistributionModel, grid: GridSpec) -> CharacteristicFunction:
         vals = _density_to_cf_values(dist.table, grid)
     else:
         vals = dist.cf_at(grid.omega)
-    return CharacteristicFunction(grid, vals, validity=VALID)
+    return _wrap(grid, vals, validity=VALID)
 
 
 def density_from_cf(cf: CharacteristicFunction) -> DistributionModel:
@@ -227,14 +279,13 @@ def cf_power(cf: CharacteristicFunction, beta: float,
     sub = np.where(mag < floor)[0]
     cut = int(sub[0]) if len(sub) else len(half)
     truncated = cut < len(half)
-    out_half = np.zeros(len(half), dtype=complex)
+    vals = np.zeros(n, dtype=complex)
+    right = vals[n // 2:]
     phase = _unwrap(np.angle(half[:cut]))
     with np.errstate(under="ignore"):
-        out_half[:cut] = mag[:cut] ** beta * np.exp(1j * beta * phase)
-    out_half[0] = 1.0 + 0.0j
-    vals = np.empty(n, dtype=complex)
-    vals[n // 2:] = out_half
-    vals[1:n // 2] = np.conj(out_half[1:][::-1])
+        right[:cut] = mag[:cut] ** beta * np.exp(1j * beta * phase)
+    right[0] = 1.0 + 0.0j
+    vals[1:n // 2] = np.conj(right[:0:-1])
     # index 0 (most negative frequency) has no positive partner: walk the
     # branch down the left half instead
     edge = cf.values[n // 2::-1]
@@ -243,18 +294,17 @@ def cf_power(cf: CharacteristicFunction, beta: float,
         vals[0] = 0.0
         truncated = truncated or mag0 < floor
     else:
-        phase0 = _unwrap(np.angle(edge))[-1]
+        phase0 = _unwrapped_last(np.angle(edge))
         vals[0] = mag0 ** beta * np.exp(1j * beta * phase0)
-    return CharacteristicFunction(cf.grid, vals, validity=UNCHECKED,
-                                  truncated=truncated or cf.truncated)
+    return _wrap(cf.grid, vals, truncated=truncated or cf.truncated)
 
 
 def cf_multiply(a: CharacteristicFunction, b: CharacteristicFunction) -> CharacteristicFunction:
     """Pointwise product: CF of the sum of independent variables."""
     if a.grid != b.grid:
         raise GridMismatch("operands live on different grids")
-    return CharacteristicFunction(a.grid, a.values * b.values, validity=UNCHECKED,
-                                  truncated=a.truncated or b.truncated)
+    return _wrap(a.grid, a.values * b.values,
+                 truncated=a.truncated or b.truncated)
 
 
 def cf_divide(num: CharacteristicFunction, den: CharacteristicFunction,
@@ -268,16 +318,15 @@ def cf_divide(num: CharacteristicFunction, den: CharacteristicFunction,
     vals = np.zeros(num.grid.num_points, dtype=complex)
     with np.errstate(over="ignore", under="ignore"):
         np.divide(num.values, den.values, out=vals, where=ok)
-    return CharacteristicFunction(num.grid, vals, validity=UNCHECKED,
-                                  truncated=bool(
-                                      (~ok).any()) or num.truncated or den.truncated)
+    return _wrap(num.grid, vals, truncated=bool(
+        (~ok).any()) or num.truncated or den.truncated)
 
 
 # -- validity -------------------------------------------------------------------
 
 
 def check_validity(cf: CharacteristicFunction) -> CharacteristicFunction:
-    """Run the validity battery and return a tagged copy.
+    """Run the validity battery and return the CF tagged with its verdict.
 
     Checks, in order: finite samples (NaN or inf; the reason names the
     first offending omega), F(0)=1, Hermitian symmetry, |F| <= 1, and
@@ -288,16 +337,16 @@ def check_validity(cf: CharacteristicFunction) -> CharacteristicFunction:
     """
     failed = _structural_failure(cf)
     if failed:
-        return replace(cf, validity=INVALID, reason=failed[1])
+        return _wrap(cf.grid, cf.values, INVALID, failed[1], cf.truncated)
     over = float(np.max(np.abs(cf.values))) - 1.0
     if over > _CF_ATOL:
-        return replace(cf, validity=INVALID,
-                       reason=f"magnitude exceeds 1 by {over:.3g}")
-    floor = float(_windowed_density(cf).real.min())
+        return _wrap(cf.grid, cf.values, INVALID,
+                     f"magnitude exceeds 1 by {over:.3g}", cf.truncated)
+    floor = _windowed_floor(cf)
     if floor < _NEG_FLOOR:
-        return replace(cf, validity=INVALID,
-                       reason=f"density negativity floor {floor:.3g}")
-    return replace(cf, validity=VALID, reason="")
+        return _wrap(cf.grid, cf.values, INVALID,
+                     f"density negativity floor {floor:.3g}", cf.truncated)
+    return _wrap(cf.grid, cf.values, VALID, "", cf.truncated)
 
 
 # -- diagnostics -----------------------------------------------------------------

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import erf, erfcinv
 
 from .errors import MomentOverflow, NonZeroMean
 from .grids import GridSpec
@@ -37,10 +36,43 @@ _GUIDE_BINS_PER_POINT = 8  # a power of two, so the guide's bin edges b/m are ex
 _INVERSION_BLOCK = 8192  # draws inverted at a time: 64 KB temporaries stay in cache
 _GRID_TAIL_MASS = 1e-12  # mass each model may leave outside the default grid
 _GRID_SIGMAS = 12.0      # least default-grid half-width, in the widest model's sigmas
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+
+def _erf(y):
+    """``math.erf`` elementwise; a scalar gives a float."""
+    if np.ndim(y) == 0:
+        return math.erf(y)
+    y = np.asarray(y, dtype=float)
+    return np.fromiter(map(math.erf, y.ravel().tolist()), float,
+                       y.size).reshape(y.shape)
+
+
+@lru_cache(maxsize=64)
+def _erfc_inverse(t: float) -> float:
+    """The z with erfc(z) = t, for t in (0, 1), by Newton's method on
+    log erfc(z) = log t.
+
+    The start z = sqrt(-log t) has erfc(z) <= exp(-z^2) = t, so it lies at or
+    right of the root; log erfc is concave and decreasing, so every step
+    lands at or right of the root too, and z falls monotonically.  The loop
+    stops at the first step that does not lower z, once rounding is all
+    that is left.  The few targets in use are memoised.
+    """
+    z = math.sqrt(-math.log(t))
+    while True:
+        e = math.erfc(z)
+        # f = log(erfc(z) / t), exact near the root through the difference
+        # e - t; f' = -2 exp(-z^2) / (sqrt(pi) erfc(z))
+        f = math.log1p((e - t) / t)
+        nxt = z + f * e / (_TWO_OVER_SQRT_PI * math.exp(-z * z))
+        if not nxt < z:
+            return z
+        z = nxt
 
 
 def _gauss_cdf(x, var):
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0 * var)))
+    return 0.5 * (1.0 + _erf(x / np.sqrt(2.0 * var)))
 
 
 def _gauss_pdf(x, var):
@@ -238,8 +270,11 @@ class DistributionModel:
     # -- support and tails -------------------------------------------------------
 
     def tail_mass_outside(self, half_width: float) -> float:
-        """Probability mass outside [-half_width, half_width], closed form."""
+        """Probability mass outside [-half_width, half_width], closed form.
+        A half-width below 0, or NaN, raises ``ValueError``."""
         L = half_width
+        if not L >= 0:
+            raise ValueError(f"half-width must be at least 0, got {L!r}")
         if self.kind == GAUSSIAN:
             return float(2.0 * (1.0 - _gauss_cdf(L, self.variance)))
         if self.kind == LAPLACE:
@@ -261,9 +296,12 @@ class DistributionModel:
         raise ValueError(self.kind)
 
     def required_half_width(self, tail_target: float = 1e-12) -> float:
-        """Smallest half-width keeping mass outside below ``tail_target``."""
+        """Smallest half-width keeping mass outside below ``tail_target``.
+        A target outside (0, 1), or NaN, raises ``ValueError``."""
+        if not 0.0 < tail_target < 1.0:
+            raise ValueError(f"tail target must lie in (0, 1), got {tail_target!r}")
         if self.kind == GAUSSIAN:
-            return float(self.sigma * math.sqrt(2.0) * erfcinv(tail_target))
+            return self.sigma * math.sqrt(2.0) * _erfc_inverse(tail_target)
         if self.kind == LAPLACE:
             b = self.sigma / math.sqrt(2.0)
             return float(b * math.log(1.0 / tail_target))
@@ -273,8 +311,8 @@ class DistributionModel:
             return self.sigma
         if self.kind == GAUSSIAN_MIXTURE:
             w_min = min(c[0] for c in self.components)
-            z = math.sqrt(2.0) * erfcinv(tail_target * w_min)
-            return max(abs(mu) + s * z for _, mu, s in self.components)
+            z = math.sqrt(2.0) * _erfc_inverse(tail_target * w_min)
+            return float(max(abs(mu) + s * z for _, mu, s in self.components))
         if self.kind == TABULATED:
             return self.grid.half_width
         raise ValueError(self.kind)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .charfun import cf_of, cf_power, check_validity, density_from_cf
 from .distributions import DistributionModel, default_grid
@@ -46,18 +45,18 @@ class EstimatorCurve:
 class _GridConvolution:
     """Linear convolution of n-point tables, each a row of the last axis, by
     real FFTs; cut back to the n grid samples and scaled by ``dx``.  For the
-    power-of-two n of a GridSpec, 2n is SciPy's fast length for 2n - 1."""
+    power-of-two n of a GridSpec, 2n is the fast FFT length for 2n - 1."""
 
     def __init__(self, n: int, dx: float = 1.0):
         self.n, self.dx, self.size = n, dx, 2 * n
 
     def spectrum(self, tables):
-        return sfft.rfft(tables, self.size)
+        return np.fft.rfft(tables, self.size)
 
     def on_grid(self, spectra, adjoint=False):
         """An adjoint's kernel is reversed, so its samples start a lag earlier."""
         start = self.n // 2 - adjoint
-        return sfft.irfft(spectra, self.size)[..., start:start + self.n] * self.dx
+        return np.fft.irfft(spectra, self.size)[..., start:start + self.n] * self.dx
 
 
 def convolve_tables(f: np.ndarray, g: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -94,7 +93,7 @@ def _floored_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num/den above the density floor, extended outward by the nearest value."""
     ok = den > _DENSITY_FLOOR
     h = np.zeros(len(den))
-    h[ok] = num[ok] / den[ok]
+    np.divide(num, den, out=h, where=ok)
     idx = np.nonzero(ok)[0]
     if len(idx) == 0:
         raise GridTooNarrow("output density vanishes everywhere on the grid")

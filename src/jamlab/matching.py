@@ -131,8 +131,9 @@ def synthesize_jammer(cfg: JammingGameConfig, grid: GridSpec | None = None,
     scaled_source = cfg.source.scaled(cfg.alpha_t)
     numerator = cf_power(cf_of(scaled_source, grid), cfg.beta,
                          floor=power_floor, strict=strict)
-    denominator = cf_of(cfg.channel_noise, grid)
-    quotient = check_validity(cf_divide(numerator, denominator, division_floor))
+    quotient = cf_divide(numerator, cf_of(cfg.channel_noise, grid), division_floor)
+    del numerator  # two full-grid arrays fewer alive while the battery runs
+    quotient = check_validity(quotient)
     if not quotient.is_valid:
         return MatchingResult(jammer_cf=quotient, jammer_density=None,
                               verdict=NO_MATCH, reason=quotient.reason,

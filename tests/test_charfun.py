@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import jamlab as jl
 from jamlab.charfun import (CharacteristicFunction, _cf_values_to_density,
-                            _density_to_cf_values, _swap_halves, _unwrap)
+                            _density_to_cf_values, _swap_halves, _unwrap,
+                            _unwrapped_last)
 from jamlab.errors import (ExcessImaginary, GridMismatch, GridTooNarrow,
                            NotHermitian, ZeroCrossing)
 
@@ -167,6 +168,10 @@ def test_unwrap_is_bitwise_np_unwrap(phases):
     p = np.array(phases, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         assert _unwrap(p).tobytes() == np.unwrap(p).tobytes()
+        if len(p) > 1:  # cf_power's left edge has n/2 + 1 phases
+            last, want = _unwrapped_last(p), np.unwrap(p)[-1]
+            assert (last.tobytes() == want.tobytes()
+                    or np.isnan(last) and np.isnan(want))
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024, 8192])
@@ -189,6 +194,24 @@ def test_centred_transforms_are_bitwise_numpy_fft(n):
         density = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(a))) / scale
         assert _density_to_cf_values(a, g).tobytes() == cf.tobytes()
         assert _cf_values_to_density(a, g).tobytes() == density.tobytes()
+
+
+def test_cf_keeps_its_samples_when_the_caller_writes_to_the_array():
+    g = jl.default_grid(jl.laplace(1.0))
+    a = jl.laplace(1.0).cf_at(g.omega)
+    cf = CharacteristicFunction(g, a)
+    want = a.copy()
+    a[:] = 0.0
+    assert cf.values.tobytes() == want.tobytes()
+    assert not cf.values.flags.writeable
+
+
+def test_cf_results_are_read_only():
+    g = jl.default_grid(jl.laplace(1.0))
+    cf = jl.cf_of(jl.laplace(1.0), g)
+    for out in (cf, jl.cf_power(cf, 1.5), jl.cf_multiply(cf, cf),
+                jl.cf_divide(cf, cf), jl.check_validity(cf)):
+        assert not out.values.flags.writeable
 
 
 def test_power_one_is_bitwise_identity():

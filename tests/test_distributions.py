@@ -1,11 +1,13 @@
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf, erfcinv
 
 import jamlab as jl
-from jamlab.distributions import _InverseCdf
+from jamlab.distributions import _erfc_inverse, _InverseCdf
 from jamlab.errors import MomentOverflow, NonZeroMean
 from jamlab.matching import JammingGameConfig, synthesize_jammer
 
@@ -303,6 +305,70 @@ def test_required_half_width_honours_tail_target(name, v):
     d = FAMILIES[name](v)
     L = d.required_half_width(1e-12)
     assert d.tail_mass_outside(L) <= 1.01e-12
+
+
+# -- the standard-library normal CDF and tail quantile, scipy.special the oracle
+
+
+@pytest.mark.parametrize("v", [0.25, 1.0, 3.0])
+def test_normal_cdf_agrees_with_scipy_erf(v):
+    d = jl.gaussian(v)
+    x = np.linspace(-40.0, 40.0, 20_001) * d.sigma
+    want = 0.5 * (1.0 + erf(x / np.sqrt(2.0 * v)))
+    assert np.max(np.abs(d.cdf_at(x) - want)) <= 4.5e-16
+    assert all(abs(d.cdf_at(t) - w) <= 4.5e-16 for t, w in zip(x[::500], want[::500]))
+
+
+def test_tail_quantile_agrees_with_scipy_erfcinv():
+    # scipy.special.erfcinv is itself up to 3 ulp off the true root at a few
+    # of these targets (2.797e-297 and 1.175e-279, for two), where the
+    # Newton inverse is correctly rounded: see the mpmath test below
+    for t in np.geomspace(1e-300, 0.5, 2000):
+        want = float(erfcinv(t))
+        assert abs(_erfc_inverse(float(t)) - want) <= 3 * np.spacing(want)
+
+
+def test_tail_quantile_is_within_an_ulp_of_the_true_root():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    targets = [2.7971160842323864e-297, 1.1746029462835426e-279, 1e-12,
+               *np.geomspace(1e-300, 0.5, 60)]
+    for t in targets:
+        root = float(mpmath.findroot(lambda z: mpmath.erfc(z) - mpmath.mpf(float(t)),
+                                     float(erfcinv(t))))
+        assert abs(_erfc_inverse(float(t)) - root) <= np.spacing(root)
+
+
+@pytest.mark.parametrize("v", [0.01, 0.25, 1.0, 2.0, 9.0])
+def test_gaussian_half_widths_keep_their_bits(v):
+    d = jl.gaussian(v)
+    want = float(d.sigma * math.sqrt(2.0) * erfcinv(1e-12))
+    assert d.required_half_width(1e-12) == want
+    assert jl.default_grid(d).half_width == max(12.0 * d.sigma, want)
+
+
+_TAIL_FAMILIES = {
+    "gaussian": jl.gaussian(1.0),
+    "laplace": jl.laplace(1.0),
+    "uniform": jl.uniform(1.0),
+    "rademacher": jl.rademacher_scaled(1.0),
+    "mixture": jl.gaussian_mixture([0.3, 0.7], [-0.7, 0.3], [0.5, 1.0]),
+    "tabulated": jl.tabulated(jl.GridSpec(12.0, 256),
+                              jl.gaussian(1.0).pdf_on(jl.GridSpec(12.0, 256))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAIL_FAMILIES))
+def test_bad_tail_inputs_raise_value_error(name):
+    d = _TAIL_FAMILIES[name]
+    for t in (0.0, 1.0, 1.5, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="tail target"):
+            d.required_half_width(t)
+    for L in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="half-width"):
+            d.tail_mass_outside(L)
+    assert type(d.required_half_width(1e-12)) is float
+    assert 0.0 <= d.tail_mass_outside(0.0) <= 1.0
 
 
 @pytest.mark.parametrize("sigma", [-2.0, 0.0, float("inf"), float("nan")])
