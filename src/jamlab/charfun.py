@@ -102,9 +102,7 @@ def _centred_transform(a: np.ndarray, transform) -> np.ndarray:
     out = _swap_halves(a)
     transform(out, out=out)
     h = len(out) // 2
-    left = out[:h].copy()
-    out[:h] = out[h:]
-    out[h:] = left
+    out[:h], out[h:] = out[h:], out[:h].copy()
     return out
 
 
