@@ -172,27 +172,17 @@ def _structural_failure(cf: CharacteristicFunction):
         return ValueError, f"cf(0) = {z:.6g}, expected 1"
     # index 0 (most negative frequency) has no positive partner on the grid
     tail = cf.values[1:]
-    gap = np.conj(tail[::-1])
-    np.subtract(tail, gap, out=gap)
-    defect = float(np.max(np.abs(gap)))
+    defect = float(np.max(np.abs(tail - np.conj(tail[::-1]))))
     if defect > _CF_ATOL:
         return NotHermitian, f"hermitian symmetry defect {defect:.3g}"
     return None
 
 
-def _windowed_floor(cf: CharacteristicFunction) -> float:
-    """Least real part of the Fejer-windowed inversion, worked in one array
-    in the transform's own order: the output's half swap is a permutation,
-    which the minimum does not see."""
+def _windowed_density(cf: CharacteristicFunction) -> np.ndarray:
     n = cf.grid.num_points
-    h = n // 2
-    j = np.arange(n)
-    j[h:] -= n  # the frequency index, in the swapped order
-    f = _swap_halves(cf.values)
-    f *= np.maximum(0.0, 1.0 - np.abs(j) / h)
-    np.fft.fft(f, out=f)
-    f /= n * cf.grid.dx
-    return float(f.real.min())
+    j = np.arange(n) - n // 2
+    w = np.maximum(0.0, 1.0 - np.abs(j) / (n // 2))
+    return _cf_values_to_density(cf.values * w, cf.grid)
 
 
 # -- construction ----------------------------------------------------------------
@@ -340,7 +330,7 @@ def check_validity(cf: CharacteristicFunction) -> CharacteristicFunction:
     if over > _CF_ATOL:
         return _wrap(cf.grid, cf.values, INVALID,
                      f"magnitude exceeds 1 by {over:.3g}", cf.truncated)
-    floor = _windowed_floor(cf)
+    floor = float(_windowed_density(cf).real.min())
     if floor < _NEG_FLOOR:
         return _wrap(cf.grid, cf.values, INVALID,
                      f"density negativity floor {floor:.3g}", cf.truncated)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +48,6 @@ def _erf(y):
                        y.size).reshape(y.shape)
 
 
-@lru_cache(maxsize=64)
 def _erfc_inverse(t: float) -> float:
     """The z with erfc(z) = t, for t in (0, 1), by Newton's method on
     log erfc(z) = log t.
@@ -57,7 +56,7 @@ def _erfc_inverse(t: float) -> float:
     right of the root; log erfc is concave and decreasing, so every step
     lands at or right of the root too, and z falls monotonically.  The loop
     stops at the first step that does not lower z, once rounding is all
-    that is left.  The few targets in use are memoised.
+    that is left.
     """
     z = math.sqrt(-math.log(t))
     while True:

@@ -256,19 +256,10 @@ def _unpack_mixture(params: np.ndarray, k: int, budget: float, sigma_floor: floa
 
 
 def _mixture_table(wts, mu, sg, grid: GridSpec) -> np.ndarray:
-    """Sum of w exp(-(x - m)^2 / (2 s^2)) / sqrt(2 pi s^2), each component
-    built in one reused buffer in that order of operations; dividing by
-    -2 s^2 rounds as negating and dividing by 2 s^2 do."""
     out = np.zeros(grid.num_points)
-    buf = np.empty(grid.num_points)
     for w_i, m_i, s_i in zip(wts, mu, sg):
-        np.subtract(grid.x, m_i, out=buf)
-        np.square(buf, out=buf)
-        buf /= -2 * s_i**2
-        np.exp(buf, out=buf)
-        buf *= w_i
-        buf /= math.sqrt(2 * math.pi * s_i**2)
-        out += buf
+        out += w_i * np.exp(-(grid.x - m_i)**2 / (2 * s_i**2)) \
+            / math.sqrt(2 * math.pi * s_i**2)
     return out
 
 

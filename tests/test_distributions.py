@@ -319,20 +319,34 @@ def test_normal_cdf_agrees_with_scipy_erf(v):
     assert all(abs(d.cdf_at(t) - w) <= 4.5e-16 for t, w in zip(x[::500], want[::500]))
 
 
+# targets of the sweep below where scipy.special.erfcinv is 3 ulp off the true
+# root, with that root correctly rounded (40-digit mpmath): the Newton inverse
+# is held to the root there, and to erfcinv within 2 ulp everywhere else
+_ERFCINV_3_ULP_OFF = {
+    9.8961628539218e-292: 25.811601306139902,
+    6.209392957571027e-287: 25.596879916638137,
+    7.948228391643307e-103: 15.224844053220533,
+    0.015838918789970614: 1.705970262693198,
+}
+
+
 def test_tail_quantile_agrees_with_scipy_erfcinv():
-    # scipy.special.erfcinv is itself up to 3 ulp off the true root at a few
-    # of these targets (2.797e-297 and 1.175e-279, for two), where the
-    # Newton inverse is correctly rounded: see the mpmath test below
-    for t in np.geomspace(1e-300, 0.5, 2000):
+    off = 0
+    for t in np.geomspace(1e-300, 0.5, 2000).tolist():
+        if t in _ERFCINV_3_ULP_OFF:
+            off += 1
+            assert _erfc_inverse(t) == _ERFCINV_3_ULP_OFF[t]
+            continue
         want = float(erfcinv(t))
-        assert abs(_erfc_inverse(float(t)) - want) <= 3 * np.spacing(want)
+        assert abs(_erfc_inverse(t) - want) <= 2 * np.spacing(want)
+    assert off == len(_ERFCINV_3_ULP_OFF)
 
 
 def test_tail_quantile_is_within_an_ulp_of_the_true_root():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     targets = [2.7971160842323864e-297, 1.1746029462835426e-279, 1e-12,
-               *np.geomspace(1e-300, 0.5, 60)]
+               *_ERFCINV_3_ULP_OFF, *np.geomspace(1e-300, 0.5, 60)]
     for t in targets:
         root = float(mpmath.findroot(lambda z: mpmath.erfc(z) - mpmath.mpf(float(t)),
                                      float(erfcinv(t))))
