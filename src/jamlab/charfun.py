@@ -90,32 +90,19 @@ def _wrap(grid: GridSpec, vals: np.ndarray, validity: str = UNCHECKED,
 
 
 def _swap_halves(a: np.ndarray) -> np.ndarray:
-    # both fftshift and ifftshift on the even grids GridSpec enforces; a new
-    # complex array, so that a transform can run in it in place (numpy's FFT
-    # gives the same bits for a real array and its complex copy)
+    # both fftshift and ifftshift on the even grids GridSpec enforces
     h = len(a) // 2
-    return np.concatenate((a[h:], a[:h]), dtype=complex)
-
-
-def _centred_transform(a: np.ndarray, transform) -> np.ndarray:
-    """``_swap_halves(transform(_swap_halves(a)))`` in one new full-grid array."""
-    out = _swap_halves(a)
-    transform(out, out=out)
-    h = len(out) // 2
-    out[:h], out[h:] = out[h:], out[:h].copy()
-    return out
+    return np.concatenate((a[h:], a[:h]))
 
 
 def _density_to_cf_values(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    vals = _centred_transform(f, np.fft.ifft)
-    vals *= grid.num_points * grid.dx
-    return vals
+    n = grid.num_points
+    return _swap_halves(np.fft.ifft(_swap_halves(f))) * (n * grid.dx)
 
 
 def _cf_values_to_density(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    f = _centred_transform(vals, np.fft.fft)
-    f /= grid.num_points * grid.dx
-    return f
+    n = grid.num_points
+    return _swap_halves(np.fft.fft(_swap_halves(vals))) / (n * grid.dx)
 
 
 def _jump_corrections(p: np.ndarray):
