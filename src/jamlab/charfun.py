@@ -254,13 +254,14 @@ def cf_power(cf: CharacteristicFunction, beta: float,
     sub = np.where(mag < floor)[0]
     cut = int(sub[0]) if len(sub) else len(half)
     truncated = cut < len(half)
-    vals = np.zeros(n, dtype=complex)
-    right = vals[n // 2:]
+    out_half = np.zeros(len(half), dtype=complex)
     phase = _unwrap(np.angle(half[:cut]))
     with np.errstate(under="ignore"):
-        right[:cut] = mag[:cut] ** beta * np.exp(1j * beta * phase)
-    right[0] = 1.0 + 0.0j
-    vals[1:n // 2] = np.conj(right[:0:-1])
+        out_half[:cut] = mag[:cut] ** beta * np.exp(1j * beta * phase)
+    out_half[0] = 1.0 + 0.0j
+    vals = np.empty(n, dtype=complex)
+    vals[n // 2:] = out_half
+    vals[1:n // 2] = np.conj(out_half[1:][::-1])
     # index 0 (most negative frequency) has no positive partner: walk the
     # branch down the left half instead
     edge = cf.values[n // 2::-1]
