@@ -2,10 +2,10 @@
 
 The conditional mean h(u) = E[X | X + Z = u] is computed by grid quadrature:
 numerator and denominator of the Bayes ratio are linear convolutions of the
-tabulated densities.  The MMSE itself comes from the orthogonality identity
-var(X) - E[h^2(U)], which needs one dimension fewer of quadrature than the
-direct squared-error integral; the direct form is kept as ``distortion_of``
-and doubles as an independent cross-check in tests.
+tabulated densities, by the ``BayesRatio`` that the worst-noise search and the
+game's decoders share.  The MMSE comes from the orthogonality identity
+var(X) - E[h^2(U)], a dimension of quadrature fewer than the direct squared
+error, which ``distortion_of`` keeps as a cross-check in tests.
 """
 
 from __future__ import annotations
@@ -42,13 +42,15 @@ class EstimatorCurve:
         object.__setattr__(self, "values", read_only_copy(self.values))
 
 
-class _GridConvolution:
-    """Linear convolution of n-point tables, each a row of the last axis, by
-    real FFTs; cut back to the n grid samples and scaled by ``dx``.  For the
-    power-of-two n of a GridSpec, 2n is the fast FFT length for 2n - 1."""
+class BayesRatio:
+    """h = num/den for noise tables against two kernel rows, x f_X and f_X or
+    an encoder's first-moment and mass deposits, whose spectra it keeps.  Linear
+    convolution on the last axis at FFT length 2n (fast for 2n - 1 at a GridSpec's
+    power-of-two n), cut back to the n grid samples and scaled by ``dx``."""
 
-    def __init__(self, n: int, dx: float = 1.0):
-        self.n, self.dx, self.size = n, dx, 2 * n
+    def __init__(self, rows: np.ndarray, dx: float = 1.0):
+        self.n, self.dx, self.size = rows.shape[-1], dx, 2 * rows.shape[-1]
+        self._kernels = self.spectrum(rows)
 
     def spectrum(self, tables):
         return np.fft.rfft(tables, self.size)
@@ -58,13 +60,21 @@ class _GridConvolution:
         start = self.n // 2 - adjoint
         return np.fft.irfft(spectra, self.size)[..., start:start + self.n] * self.dx
 
+    def convolve(self, table):
+        """The kernel rows convolved with ``table``; kernel spectrum first."""
+        return self.on_grid(self._kernels * self.spectrum(table))
+
+    def ratio(self, table):
+        """(h, den) for the noise ``table``, h extended past the density floor."""
+        num, den = self.convolve(table)
+        return _floored_ratio(num, den), den
+
 
 def convolve_tables(f: np.ndarray, g: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Linear convolution of two density tables, restricted to the grid.  The
-    spectrum of f multiplies that of g, the order of SciPy's ``fftconvolve``,
-    whose bits this keeps."""
-    conv = _GridConvolution(grid.num_points, grid.dx)
-    return conv.on_grid(conv.spectrum(f) * conv.spectrum(g))
+    spectrum of f multiplies that of g, the operand order of
+    ``scipy.signal.fftconvolve``, whose bits the tests hold this to."""
+    return BayesRatio(f, grid.dx).convolve(g)
 
 
 def _check_tails(grid: GridSpec, *models: DistributionModel) -> None:
@@ -81,12 +91,6 @@ def _check_output_mass(fu: np.ndarray, grid: GridSpec) -> None:
     if lost >= 1e-10:
         raise GridTooNarrow(f"output density loses {lost:.3g} of its mass "
                             "off the grid, not below 1e-10")
-
-
-def _bayes_ratio(fx: np.ndarray, fz: np.ndarray, grid: GridSpec):
-    num = convolve_tables(grid.x * fx, fz, grid)
-    den = convolve_tables(fx, fz, grid)
-    return _floored_ratio(num, den), den
 
 
 def _floored_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -138,13 +142,18 @@ def mmse_estimator(source: DistributionModel, noise: DistributionModel,
     which cannot affect the MMSE since the f_U-weight vanishes there.  Raises
     ``GridTooNarrow`` where X, Z or U has 1e-10 or more of its mass off the grid.
     """
-    if grid is None:
-        grid = default_grid(source, noise)
+    return _curve_of(*_gated_ratio(source, noise, grid))
+
+
+def _gated_ratio(source: DistributionModel, noise: DistributionModel,
+                 grid: GridSpec | None):
+    """(f_X, h, f_U, grid) between the tail and output-mass gates."""
+    grid = grid or default_grid(source, noise)
     _check_tails(grid, source, noise)
     fx = source.pdf_on(grid)
-    h, fu = _bayes_ratio(fx, noise.pdf_on(grid), grid)
+    h, fu = BayesRatio(np.stack([grid.x * fx, fx]), grid.dx).ratio(noise.pdf_on(grid))
     _check_output_mass(fu, grid)
-    return _curve_of(fx, h, fu, grid)
+    return fx, h, fu, grid
 
 
 def output_density(source: DistributionModel, noise: DistributionModel,
@@ -170,8 +179,8 @@ def matched_source_check(noise: DistributionModel, kappa: float,
     exists iff that power passes the validity battery.  On success the
     estimator evidence (linearity residual below 1e-4) is attached.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError("kappa must be finite and positive")
     if grid is None:
         grid = default_grid(noise, noise.scaled(math.sqrt(max(kappa, 1.0))))
     powered = check_validity(cf_power(cf_of(noise, grid), kappa))

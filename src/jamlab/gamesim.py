@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import DistributionModel, default_grid, gaussian, laplace, uniform
 from .errors import InvalidProfile, PowerViolation
-from .estimation import _GridConvolution, _floored_ratio, convolve_tables
+from .estimation import BayesRatio, _check_tails, convolve_tables
 from .grids import GridSpec, read_only_copy
 from .matching import JammingGameConfig, synthesize_jammer
 
@@ -176,6 +176,7 @@ def saddle_profile(cfg: JammingGameConfig,
 def _check_powers(cfg: JammingGameConfig, profile: StrategyProfile) -> None:
     enc = profile.encoder
     if isinstance(enc, DeterministicEncoder):
+        _check_tails(enc.grid, cfg.source)  # else the power misses the tails
         fx = cfg.source.pdf_on(enc.grid)
         power = float(np.sum(enc.values**2 * fx) * enc.grid.dx)
         if power > cfg.power_tx * (1 + _POWER_RTOL):
@@ -220,8 +221,10 @@ def _conditional_mean(cfg: JammingGameConfig, grid: GridSpec, phi: np.ndarray,
     convolved with f_V: the direct quadrature sum_x f_V(u - phi(x)) x f_X dx
     with f_V linear between u-grid nodes.  Only the outer cells holding the
     last ``_TAIL_MASS`` of each tail are left out, so the u-grid spans every
-    cell that carries mass.
+    cell that carries mass.  Raises ``GridTooNarrow`` where the source grid
+    leaves 1e-10 or more of the source's mass off.
     """
+    _check_tails(grid, cfg.source)
     c, residual = _jammer_parts(cfg, jam)
     noises = [cfg.channel_noise] + ([residual] if residual is not None else [])
     mass = cfg.source.pdf_on(grid) * grid.dx
@@ -240,9 +243,7 @@ def _conditional_mean(cfg: JammingGameConfig, grid: GridSpec, phi: np.ndarray,
     w = np.concatenate([mass * (j + 1 - t), mass * (t - j)])
     deposits = np.stack([np.bincount(idx, w * np.concatenate([x, x]), n),
                          np.bincount(idx, w, n)])
-    conv = _GridConvolution(n)
-    num, den = conv.on_grid(conv.spectrum(deposits) * conv.spectrum(fv))
-    return CurveDecoder(u_grid, _floored_ratio(num, den))
+    return CurveDecoder(u_grid, BayesRatio(deposits).ratio(fv)[0])
 
 
 def _per_sign_mmse_tables(cfg: JammingGameConfig, jam) -> dict:

@@ -35,8 +35,8 @@ from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
 from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
                      UnstableIntegration)
-from .estimation import (_DENSITY_FLOOR, _GridConvolution, _bayes_ratio,
-                         _check_output_mass, _check_tails, _curve_of, _floored_ratio)
+from .estimation import (_DENSITY_FLOOR, BayesRatio, _check_output_mass,
+                         _check_tails, _curve_of, _gated_ratio)
 from .grids import GridSpec, read_only_copy
 
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
@@ -165,7 +165,7 @@ def expansion_coeffs(source: DistributionModel, noise: DistributionModel,
     """
     grid = basis.measure.grid
     fx = source.pdf_on(grid)
-    h, fu = _bayes_ratio(fx, noise.pdf_on(grid), grid)
+    h, fu = BayesRatio(np.stack([grid.x * fx, fx]), grid.dx).ratio(noise.pdf_on(grid))
     if float(np.max(np.abs(fu - basis.measure.table))) > 1e-8:
         raise BasisMismatch("basis measure differs from the pair's output density")
     _check_tails(grid, source, noise)
@@ -182,11 +182,7 @@ def _coeffs_of(fx, h, fu, grid: GridSpec, basis) -> ExpansionCoefficients:
 def _mmse_report(source: DistributionModel, noise: DistributionModel, order: int,
                  grid: GridSpec | None):
     """(curve, coeffs): the estimator and its expansion from one Bayes ratio."""
-    grid = grid or default_grid(source, noise)
-    _check_tails(grid, source, noise)
-    fx = source.pdf_on(grid)
-    h, fu = _bayes_ratio(fx, noise.pdf_on(grid), grid)
-    _check_output_mass(fu, grid)
+    fx, h, fu, grid = _gated_ratio(source, noise, grid)
     coeffs = _coeffs_of(fx, h, fu, grid, build_basis(tabulated(grid, fu), order))
     return _curve_of(fx, h, fu, grid), coeffs
 
@@ -263,33 +259,31 @@ def _mixture_table(wts, mu, sg, grid: GridSpec) -> np.ndarray:
     return out
 
 
-class _TableEnergy:
+class _TableEnergy(BayesRatio):
     """E[h^2] = sum num^2/den dx as a function of the noise table f_Z.
 
     num = A f_Z and den = B f_Z are the Bayes-ratio convolutions with x f_X
     and f_X; output points where den is below the density floor drop out.
-    ``tail`` multiplies kernel spectrum first, as ``convolve_tables`` does, so
-    it stays bitwise equal to the Bayes ratio.
+    ``_forward`` multiplies the noise spectrum first, unlike ``ratio``: complex
+    products are not bitwise commutative, and the Newton iterates keep that order.
     """
 
     def __init__(self, fx: np.ndarray, grid: GridSpec):
-        self._x = grid.x
-        self._dx = grid.dx
-        self._var_x = float(np.sum(grid.x**2 * fx) * grid.dx)
-        self._fft = conv = _GridConvolution(grid.num_points, grid.dx)
         kx = grid.x * fx
-        self._kernels = conv.spectrum(np.stack([kx, fx]))
-        self._adjoints = conv.spectrum(np.stack([kx, fx])[:, ::-1])
-        self._squares = conv.spectrum(np.stack([kx * kx, kx * fx, fx * fx])[:, ::-1])
+        super().__init__(np.stack([kx, fx]), grid.dx)
+        self._x = grid.x
+        self._var_x = float(np.sum(grid.x**2 * fx) * grid.dx)
+        self._adjoints = self.spectrum(np.stack([kx, fx])[:, ::-1])
+        self._squares = self.spectrum(np.stack([kx * kx, kx * fx, fx * fx])[:, ::-1])
 
     def _forward(self, v):
         """(A v, B v)."""
-        return self._fft.on_grid(self._fft.spectrum(v) * self._kernels)
+        return self.on_grid(self.spectrum(v) * self._kernels)
 
     def _correlate(self, vectors, spectra):
         """Sum over pairs of the adjoint convolutions K^T v."""
-        total = sum(self._fft.spectrum(np.stack(vectors)) * spectra)
-        return self._fft.on_grid(total, adjoint=True)
+        total = sum(self.spectrum(np.stack(vectors)) * spectra)
+        return self.on_grid(total, adjoint=True)
 
     def at(self, fz):
         """(E[h^2], h, 1/den), with h and 1/den zero below the floor."""
@@ -297,14 +291,13 @@ class _TableEnergy:
         ok = den > _DENSITY_FLOOR
         inv_den = np.where(ok, 1.0 / np.where(ok, den, 1.0), 0.0)
         h = num * inv_den
-        return float(h @ num) * self._dx, h, inv_den
+        return float(h @ num) * self.dx, h, inv_den
 
     def tail(self, fz):
         """(nonlinear coefficient energy of h, table MMSE); h is extended
         past the density floor as in the Bayes ratio."""
-        num, den = self._fft.on_grid(self._kernels * self._fft.spectrum(fz))
-        h = _floored_ratio(num, den)
-        w = den * self._dx
+        h, den = self.ratio(fz)
+        w = den * self.dx
         eh2 = float(w @ h**2)
         c0 = float(w @ h)
         c1 = float(w @ (self._x * h)) / math.sqrt(float(w @ self._x**2))
@@ -312,17 +305,17 @@ class _TableEnergy:
 
     def gradient(self, h):
         """dx (A^T 2h - B^T h^2)."""
-        return self._dx * self._correlate((2.0 * h, -h * h), self._adjoints)
+        return self.dx * self._correlate((2.0 * h, -h * h), self._adjoints)
 
     def hvp(self, h, inv_den, v):
         """Hessian times v.  The Hessian is 2 dx M^T diag(1/den) M with
         M = A - diag(h) B."""
         a, b = self._forward(v)
         r = (a - h * b) * inv_den
-        return 2.0 * self._dx * self._correlate((r, -h * r), self._adjoints)
+        return 2.0 * self.dx * self._correlate((r, -h * r), self._adjoints)
 
     def hessian_diagonal(self, h, inv_den):
-        return 2.0 * self._dx**2 * self._correlate(
+        return 2.0 * self.dx**2 * self._correlate(
             (inv_den, -2.0 * h * inv_den, h * h * inv_den), self._squares)
 
 

@@ -526,21 +526,25 @@ def test_mmse_task(tmp_path):
     assert (out / "unit-gauss_estimator.csv").exists()
 
 
-def test_mmse_run_convolves_twice(tmp_path, monkeypatch):
+def test_mmse_run_takes_one_bayes_ratio(tmp_path, monkeypatch):
     """f_U and the Bayes numerator: every number the report writes comes
-    from those two convolutions."""
+    from one Bayes ratio, and no other convolution runs."""
     from jamlab import estimation
-    calls = []
-    convolve = estimation.convolve_tables
+    calls = {"ratio": 0, "convolve_tables": 0}
+    ratio, convolve = estimation.BayesRatio.ratio, estimation.convolve_tables
 
-    def counted(*args):
-        calls.append(args)
-        return convolve(*args)
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(estimation, "convolve_tables", counted)
+    monkeypatch.setattr(estimation.BayesRatio, "ratio", counted("ratio", ratio))
+    monkeypatch.setattr(estimation, "convolve_tables",
+                        counted("convolve_tables", convolve))
     path = write_spec(tmp_path, task="mmse", game=_LAPLACE_GAUSSIAN)
     assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 0
-    assert len(calls) == 2
+    assert calls == {"ratio": 1, "convolve_tables": 0}
 
 
 @pytest.mark.parametrize("source", ["gaussian", "laplace", "uniform"])

@@ -11,7 +11,7 @@ from scipy.signal import fftconvolve
 
 import jamlab as jl
 from jamlab.errors import GridTooNarrow
-from jamlab.estimation import (_GridConvolution, best_linear_gain, convolve_tables,
+from jamlab.estimation import (BayesRatio, best_linear_gain, convolve_tables,
                                distortion_of, linear_benchmark,
                                matched_source_check, mmse_estimator,
                                output_density)
@@ -123,6 +123,13 @@ def test_rademacher_noise_no_match():
     assert got.reason
 
 
+@pytest.mark.parametrize("grid", [None, jl.GridSpec(20.0, 256)], ids=["default", "given"])
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), 0.0, -1.0])
+def test_kappa_must_be_finite_and_positive(kappa, grid):
+    with pytest.raises(ValueError, match="kappa must be finite and positive"):
+        matched_source_check(jl.gaussian(1.0), kappa, grid)
+
+
 # -- distortion_of ------------------------------------------------------------------
 
 
@@ -204,8 +211,9 @@ def test_convolve_tables_is_bitwise_fftconvolve(n):
 
 @pytest.mark.parametrize("n", [2**k for k in range(6, 16)])
 def test_twice_the_grid_is_the_fast_convolution_length(n):
-    # why _GridConvolution transforms at 2n: SciPy's fast length for 2n - 1
-    assert _GridConvolution(n).size == sfft.next_fast_len(2 * n - 1, real=True)
+    # why BayesRatio transforms at 2n: SciPy's fast length for 2n - 1
+    size = BayesRatio(np.zeros((2, n))).size
+    assert size == sfft.next_fast_len(2 * n - 1, real=True)
 
 
 def test_import_loads_no_scipy_signal():

@@ -135,6 +135,25 @@ def test_encoder_power_violation():
         simulate(UNIT_CFG, profile, 10_000, seed=1)
 
 
+def _cutting_encoder():
+    # a +-2 grid holds 95.4% of the unit Gaussian source: the power read on
+    # it is 0.894, while the curve, held past the grid edge, has power 1.111
+    grid = jl.GridSpec(2.0, 256)
+    return DeterministicEncoder(grid, 1.1 * grid.x)
+
+
+def test_encoder_power_is_not_read_on_a_grid_that_cuts_the_source():
+    profile = StrategyProfile(_cutting_encoder(), IndependentNoise(jl.gaussian(1.0)),
+                              LinearDecoder(0.3))
+    with pytest.raises(GridTooNarrow):
+        simulate(UNIT_CFG, profile, 10_000, seed=1)
+
+
+def test_mmse_decoder_is_not_built_on_a_grid_that_cuts_the_source():
+    with pytest.raises(GridTooNarrow):
+        mmse_decoder_for_encoder(UNIT_CFG, _cutting_encoder(), jl.gaussian(1.0))
+
+
 def test_jammer_power_violation():
     profile = StrategyProfile(RandomizedLinear(0.5),
                               IndependentNoise(jl.gaussian(1.5)),
@@ -343,20 +362,25 @@ def test_decoder_deposit_convolution_is_bitwise_fftconvolve(monkeypatch):
     # the 2-row convolution of the deposits with f_V, against the oracle
     # scipy.signal.fftconvolve with the kernel broadcast over the rows
     from scipy.signal import fftconvolve
+    from jamlab import estimation
     tables, ratio_args = [], []
-    floored = gamesim._floored_ratio
+    floored = estimation._floored_ratio
 
-    class Spy(gamesim._GridConvolution):
-        def spectrum(self, t):
-            tables.append(t)
-            return super().spectrum(t)
+    class Spy(gamesim.BayesRatio):
+        def __init__(self, rows, *args):
+            tables.append(rows)
+            super().__init__(rows, *args)
+
+        def ratio(self, table):
+            tables.append(table)
+            return super().ratio(table)
 
     def spy_ratio(num, den):
         ratio_args.append(np.stack([num, den]))
         return floored(num, den)
 
-    monkeypatch.setattr(gamesim, "_GridConvolution", Spy)
-    monkeypatch.setattr(gamesim, "_floored_ratio", spy_ratio)
+    monkeypatch.setattr(gamesim, "BayesRatio", Spy)
+    monkeypatch.setattr(estimation, "_floored_ratio", spy_ratio)
     mmse_decoder_for_encoder(UNIT_CFG, companding_encoders(UNIT_CFG)[0],
                              jl.laplace(1.0))
     (deposits, fv), (got,) = tables, ratio_args

@@ -8,9 +8,9 @@ import jamlab as jl
 from jamlab import polyexpand
 from jamlab.errors import (BasisMismatch, IllConditioned,
                            UnstableIntegration)
-from jamlab.estimation import (_DENSITY_FLOOR, _bayes_ratio,
-                               linear_benchmark, mmse_estimator,
-                               output_density)
+from jamlab.estimation import (_DENSITY_FLOOR, _floored_ratio,
+                               convolve_tables, linear_benchmark,
+                               mmse_estimator, output_density)
 from jamlab.polyexpand import (GaussianMixtureFamily, GridTableFamily,
                                _match_moments, _mixture_table, _search_energy,
                                _TableEnergy, _unpack_mixture, build_basis,
@@ -254,8 +254,9 @@ def test_search_rejects_bad_noise_budget(budget):
 
 def _reference_tail(fx, fz, grid):
     """Nonlinear coefficient energy and table MMSE on the Bayes ratio built
-    from ``convolve_tables``."""
-    h, fu = _bayes_ratio(fx, fz, grid)
+    from two ``convolve_tables`` calls."""
+    fu = convolve_tables(fx, fz, grid)
+    h = _floored_ratio(convolve_tables(grid.x * fx, fz, grid), fu)
     w = fu * grid.dx
     eh2 = float(w @ h**2)
     c0 = float(w @ h)
