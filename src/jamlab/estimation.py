@@ -43,10 +43,10 @@ class EstimatorCurve:
 
 
 class BayesRatio:
-    """h = num/den for noise tables against two kernel rows, x f_X and f_X or
-    an encoder's first-moment and mass deposits, whose spectra it keeps.  Linear
-    convolution on the last axis at FFT length 2n (fast for 2n - 1 at a GridSpec's
-    power-of-two n), cut back to the n grid samples and scaled by ``dx``."""
+    """The Bayes ratio h = num/den of noise tables against two kernel rows (x f_X
+    and f_X, or an encoder's first-moment and mass deposits), whose spectra it
+    keeps.  Convolutions are linear along the last axis at FFT length 2n, the fast
+    length for 2n - 1 at a GridSpec's power of two, cut to n samples times ``dx``."""
 
     def __init__(self, rows: np.ndarray, dx: float = 1.0):
         self.n, self.dx, self.size = rows.shape[-1], dx, 2 * rows.shape[-1]
