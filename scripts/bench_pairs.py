@@ -10,10 +10,14 @@ For each seed it runs ``python3 jambench/run.py --workload W --seed S
 --trace 0`` once in each checkout, at the benchmark's own run length, one after the other, and
 alternates which side runs first from one seed to the next, so a drift of
 the host's speed falls on both sides alike.  Each run's JSON summary (the
-last line ``run.py`` prints) is kept as it is.  For every end-to-end metric
-the record holds both sides' median and quartiles, the change's wins (pairs
-where it is better, in the direction ``BENCHMARK.json`` gives) and the
-median's relative change, and each checkout's commit (``git rev-parse
+last line ``run.py`` prints) is kept, with the unscaled times of its
+``W/measured/M V`` lines (``pass_s``, ``op_p50_ms``, ``setup_s`` and the
+reference clock's ``kernel_ms``) added as its ``measured`` metrics, each
+with the unit its name ends in.  For every end-to-end metric the record
+holds both sides' median and quartiles, the change's wins (pairs where it
+is better, in the direction ``BENCHMARK.json`` gives) and the median's
+relative change; ``measured`` holds the same summary of the measured times,
+lower being better.  It also holds each checkout's commit (``git rev-parse
 HEAD``, or null where the directory is not the root of a git checkout).
 An existing ``--out`` file keeps its other workloads; this workload's entry
 is replaced.  The file is written after every pair, with the summary over
@@ -63,6 +67,18 @@ def git_head(checkout: Path) -> str | None:
     return lines[1]
 
 
+def measured_lines(lines: list[str], workload: str) -> dict:
+    """``{name: {"value", "unit"}}`` from ``run.py``'s ``W/measured/name
+    value`` lines; the unit is the name's last ``_`` suffix."""
+    prefix = f"{workload}/measured/"
+    out = {}
+    for line in lines:
+        if line.startswith(prefix):
+            name, value = line[len(prefix):].split()
+            out[name] = {"value": float(value), "unit": name.rsplit("_", 1)[-1]}
+    return out
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "jambench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
@@ -70,7 +86,10 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited with "
                            f"{proc.returncode}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    result["measured"] = measured_lines(lines, workload)
+    return result
 
 
 def spread(values: list[float]) -> dict:
@@ -80,19 +99,21 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    names = sorted(set(pairs[0]["parent"]["metrics"])
-                   & set(pairs[0]["change"]["metrics"]))
+def summarize(pairs: list[dict], better: dict[str, str],
+              section: str = "metrics") -> dict:
+    """Both sides' spread of each metric in every run's ``section``."""
+    names = sorted(set.intersection(*(set(p[side].get(section, {}))
+                                      for p in pairs for side in SIDES)))
     out = {}
     for name in names:
-        got = {side: [p[side]["metrics"][name]["value"] for p in pairs]
+        got = {side: [p[side][section][name]["value"] for p in pairs]
                for side in SIDES}
         lower = better.get(name, "lower") == "lower"
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(got["parent"], got["change"]))
         parent, change = spread(got["parent"]), spread(got["change"])
         out[name] = {
-            "unit": pairs[0]["parent"]["metrics"][name]["unit"],
+            "unit": pairs[0]["parent"][section][name]["unit"],
             "better": "lower" if lower else "higher",
             "parent": parent, "change": change,
             "change_wins": wins, "pairs": len(pairs),
@@ -121,6 +142,7 @@ def write_record(out: Path, workload: str, commits: dict, pairs: list[dict],
         "seeds": [p["seed"] for p in pairs],
         "commits": commits,
         "metrics": summarize(pairs, better),
+        "measured": summarize(pairs, {}, "measured"),
         "failed": {side: [p[side]["failed"] for p in pairs] for side in SIDES},
         "attempted": {side: [p[side]["attempted"] for p in pairs]
                       for side in SIDES},
@@ -158,10 +180,12 @@ def main(argv=None) -> int:
         pairs.append(pair)
         entry = write_record(args.out, args.workload, commits, pairs,
                              better)
-    for name, m in entry["metrics"].items():
-        print(f"{args.workload}/{name}: {m['parent']['median']:.4g} -> "
-              f"{m['change']['median']:.4g} {m['unit']}, "
-              f"{m['change_wins']}/{m['pairs']} wins")
+    for section in ("metrics", "measured"):
+        for name, m in entry[section].items():
+            label = name if section == "metrics" else f"measured/{name}"
+            print(f"{args.workload}/{label}: {m['parent']['median']:.4g} -> "
+                  f"{m['change']['median']:.4g} {m['unit']}, "
+                  f"{m['change_wins']}/{m['pairs']} wins")
     return 0
 
 

@@ -37,6 +37,8 @@ _INVERSION_BLOCK = 8192  # draws inverted at a time: 64 KB temporaries stay in c
 _GRID_TAIL_MASS = 1e-12  # mass each model may leave outside the default grid
 _GRID_SIGMAS = 12.0      # least default-grid half-width, in the widest model's sigmas
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_HALF_BITS = np.float64(0.5).view(np.int64)  # u >= 1/2 iff u's bits are >= these
+_SIGN_BIT = np.int64(-1 << 63)
 
 
 def _erf(y):
@@ -68,6 +70,41 @@ def _erfc_inverse(t: float) -> float:
         if not nxt < z:
             return z
         z = nxt
+
+
+def _laplace(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
+    """``size`` draws of ``rng.laplace(0.0, b, size)`` within 2 ulp, from the
+    same uniforms.
+
+    ``Generator.laplace`` maps each uniform u in (0, 1) to ``0 - b log(2 - u
+    - u)`` for u >= 1/2 and ``0 + b log(u + u)`` below, through the C
+    library's scalar log, and redraws a u of exactly 0.  Here the log is
+    numpy's vectorized one, which differs from the C library's by at most
+    2 ulp; the rest of the arithmetic is the same.  The branch is a blend of
+    int64 bit views: masked ufuncs and ``np.where`` cost as much as the
+    scalar logs saved.  b log(.) <= 0 on both branches, so the draw is its
+    magnitude with the sign bit set below 1/2, and u = 1/2 gives +0.0 as
+    ``0 - b log 1`` does.
+    """
+    u = rng.random(size)
+    while not u.all():  # a zero uniform: the draws after it shift up by one
+        kept = u[u != 0.0]
+        u = np.concatenate([kept, rng.random(size - kept.size)])
+    low = u.view(np.int64) - _HALF_BITS
+    low >>= 63  # all ones where u < 1/2, else 0
+    arg = np.subtract(2.0, u)
+    arg -= u
+    u += u
+    pick, bits = u.view(np.int64), arg.view(np.int64)
+    pick ^= bits
+    pick &= low
+    bits ^= pick  # u + u where u < 1/2, else 2 - u - u
+    np.log(arg, out=arg)
+    arg *= b
+    bits &= ~_SIGN_BIT
+    low &= _SIGN_BIT
+    bits |= low
+    return arg
 
 
 def _gauss_cdf(x, var):
@@ -218,13 +255,19 @@ class DistributionModel:
     # -- sampling ------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` draws.  A tabulated model inverts its CDF at the right
-        cell edges: its draws equal ``np.interp(rng.random(size), cdf,
-        edges)`` bit for bit, with the normalized CDF ``cdf``."""
+        """``size`` draws, as a new array the caller may write over.
+
+        A Laplace model inverts ``size`` uniforms (``rng.random``) as
+        ``Generator.laplace`` does, with numpy's vectorized log: its draws
+        are ``rng.laplace(0.0, b, size)``'s within 2 ulp, b = sigma/sqrt(2),
+        and it leaves ``rng`` where that call would.  A tabulated model
+        inverts its CDF at the right cell edges: its draws equal
+        ``np.interp(rng.random(size), cdf, edges)`` bit for bit, with the
+        normalized CDF ``cdf``."""
         if self.kind == GAUSSIAN:
             return rng.normal(0.0, self.sigma, size)
         if self.kind == LAPLACE:
-            return rng.laplace(0.0, self.sigma / math.sqrt(2.0), size)
+            return _laplace(rng, self.sigma / math.sqrt(2.0), size)
         if self.kind == UNIFORM:
             a = math.sqrt(3.0 * self.variance)
             return rng.uniform(-a, a, size)

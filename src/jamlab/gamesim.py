@@ -18,6 +18,7 @@ depend on how trials are partitioned.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,11 @@ class RandomizedLinear:
 
 
 def _freeze_values(curve) -> None:
-    """Store a curve's values as a read-only float copy matching its grid."""
-    object.__setattr__(curve, "values", read_only_copy(
-        curve.values, float, curve.grid.num_points))
+    """Store a curve's values as a read-only float copy matching its grid,
+    and the slope table its lookups read."""
+    values = read_only_copy(curve.values, float, curve.grid.num_points)
+    object.__setattr__(curve, "values", values)
+    object.__setattr__(curve, "_slope", curve.grid.slope(values))
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class DeterministicEncoder:
     __post_init__ = _freeze_values
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.grid.lookup(x, self.values)
+        return self.grid.lookup(x, self.values, self._slope)
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ class CurveDecoder:
     __post_init__ = _freeze_values
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.grid.lookup(u, self.values)
+        return self.grid.lookup(u, self.values, self._slope)
 
 
 @dataclass(frozen=True)
@@ -268,6 +271,21 @@ def _rng(seed: int, component: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng([seed, component, chunk])
 
 
+def _check_counts(trials, seed, gamma_seed=None) -> None:
+    """Raise ``ValueError`` for a ``trials`` that is not an integer of at
+    least ``MIN_TRIALS``, or a seed that is not a non-negative integer."""
+    if not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < MIN_TRIALS:
+        raise ValueError("at least 10^4 trials required")
+    seeds = {"seed": seed}
+    if gamma_seed is not None:
+        seeds["gamma_seed"] = gamma_seed
+    for name, value in seeds.items():
+        if not (isinstance(value, numbers.Integral) and value >= 0):
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def simulate(cfg: JammingGameConfig, profile: StrategyProfile, trials: int,
              seed: int, gamma_seed: int | None = None) -> SaddleOutcome:
     """Run the game and return the empirical mean squared error.
@@ -277,10 +295,11 @@ def simulate(cfg: JammingGameConfig, profile: StrategyProfile, trials: int,
     is merged by pairwise summation, so results are independent of any
     parallel partitioning of the chunks.  ``gamma_seed`` reseeds only the
     shared-sign stream; swapping it must not change the cost distribution
-    (the randomization is exchangeable), which tests exploit.
+    (the randomization is exchangeable), which tests exploit.  ``trials``
+    must be an integer of at least 10^4 and the seeds non-negative
+    integers, else ``ValueError``.
     """
-    if trials < MIN_TRIALS:
-        raise ValueError("at least 10^4 trials required")
+    _check_counts(trials, seed, gamma_seed)
     _check_powers(cfg, profile)
 
     enc, jam, dec = profile.encoder, profile.jammer, profile.decoder
@@ -292,38 +311,54 @@ def simulate(cfg: JammingGameConfig, profile: StrategyProfile, trials: int,
     elif not isinstance(dec, (LinearDecoder, CurveDecoder)):
         raise InvalidProfile(f"unknown decoder {dec!r}")
     c_coef, residual = _jammer_parts(cfg, jam)
+    gseed = seed if gamma_seed is None else gamma_seed
 
     nchunks = (trials + _CHUNK - 1) // _CHUNK
     sums = np.zeros(nchunks)
     squares = np.zeros(nchunks)
     for chunk in range(nchunks):
+        # the arrays sample returns are worked on in place; each sum and
+        # product keeps the operands of U = (enc(X) + Z) + N and
+        # X_hat = gamma dec(gamma U), so the bits stay those of the plain
+        # expressions (a sign flip is exact, and + and * commute bitwise)
         k = min(_CHUNK, trials - chunk * _CHUNK)
         x = cfg.source.sample(_rng(seed, _STREAM_X, chunk), k)
-        n = cfg.channel_noise.sample(_rng(seed, _STREAM_N, chunk), k)
+        u = cfg.channel_noise.sample(_rng(seed, _STREAM_N, chunk), k)
         z = np.zeros(k) if residual is None \
             else residual.sample(_rng(seed, _STREAM_Z, chunk), k)
         if c_coef != 0.0:
-            z = z + c_coef * x
+            z += np.multiply(x, c_coef)
         if randomized:
-            gseed = seed if gamma_seed is None else gamma_seed
-            gam = np.where(_rng(gseed, _STREAM_GAMMA, chunk).random(k)
-                           < enc.bernoulli_p, 1.0, -1.0)
-            u = gam * cfg.alpha_t * x + z + n
+            gam = _rng(gseed, _STREAM_GAMMA, chunk).random(k)
+            plus = gam < enc.bernoulli_p
+            np.multiply(plus, 2.0, out=gam)
+            gam -= 1.0  # +1.0 where r < p, else -1.0
+            y = np.multiply(x, cfg.alpha_t)
+            y *= gam
         else:
-            gam = None
-            u = enc.apply(x) + z + n
+            y = enc.apply(x)
+        z += y
+        u += z
         if isinstance(dec, LinearDecoder):
-            xhat = dec.gain * u if gam is None else gam * dec.gain * u
+            u *= dec.gain
+            if randomized:
+                u *= gam
+            xhat = u
         elif isinstance(dec, CurveDecoder):
-            xhat = dec.apply(u) if gam is None else gam * dec.apply(gam * u)
+            if randomized:
+                u *= gam
+            xhat = dec.apply(u)
+            if randomized:
+                xhat *= gam
         else:  # the per-sign tables of MmseGivenProfile
             xhat = np.empty(k)
-            for s in (1.0, -1.0):
-                at = np.flatnonzero(gam == s)  # faster than a boolean mask
+            for s, at in ((1.0, plus), (-1.0, ~plus)):
+                at = np.flatnonzero(at)  # faster than a boolean mask
                 xhat[at] = dec[s].apply(u[at])
-        err = (x - xhat) ** 2
+        err = np.subtract(x, xhat, out=xhat)
+        err *= err
         sums[chunk] = err.sum()
-        squares[chunk] = (err * err).sum()
+        squares[chunk] = np.multiply(err, err, out=x).sum()
     mean = float(np.sum(sums)) / trials
     var = max(0.0, float(np.sum(squares)) / trials - mean * mean)
     se = math.sqrt(var / (trials - 1))
@@ -388,6 +423,7 @@ def verify_rhs_inequality(cfg: JammingGameConfig, trials: int, seed: int,
     decoder and must score at least the saddle cost minus ``_SIGMA_GATE``
     standard errors.
     """
+    _check_counts(trials, seed)
     if jammer_model is None:
         result = synthesize_jammer(cfg)
         if not result.matched:
@@ -423,6 +459,7 @@ def verify_lhs_inequality(cfg: JammingGameConfig, trials: int, seed: int,
     and the shared sign.  Every candidate must score at most the saddle cost
     plus ``_SIGMA_GATE`` standard errors.
     """
+    _check_counts(trials, seed)
     if jammers is None:
         jammers = default_lhs_jammers(cfg)
     return _priced(cfg, trials, seed, "jammer", (
@@ -486,6 +523,7 @@ def bernoulli_exploit_check(cfg: JammingGameConfig, p_values,
     exploits the correlation and lowers the cost, which is why an optimal
     jammer stays independent of the source.
     """
+    _check_counts(trials, seed)
     if correlated_jammer.rho == 0:
         raise InvalidProfile("exploit check needs a correlated jammer")
     c, _ = _jammer_parts(cfg, correlated_jammer)

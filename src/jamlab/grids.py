@@ -58,13 +58,33 @@ class GridSpec:
         return read_only_copy((np.arange(self.num_points)
                                - self.num_points // 2) * self.domega)
 
-    def lookup(self, x, values: np.ndarray) -> np.ndarray:
+    def slope(self, values: np.ndarray) -> np.ndarray:
+        """The table ``lookup`` interpolates ``values`` with: the slope of
+        each grid interval, and 0 past the last node."""
+        return (np.diff(values, append=values[-1])
+                / np.diff(self.x, append=self.x[-1] + self.dx))
+
+    def lookup(self, x, values: np.ndarray,
+               slope: np.ndarray | None = None) -> np.ndarray:
         """``np.interp(x, self.x, values)``, with the interval found by index
-        arithmetic on the uniform grid instead of by binary search."""
+        arithmetic on the uniform grid instead of by binary search.
+
+        ``slope`` is ``self.slope(values)``, for a caller that looks one
+        table up many times.  The result is a new array; ``x`` is left as
+        it is.
+        """
+        if slope is None:
+            slope = self.slope(values)
         n = self.num_points
-        t = np.clip(x / self.dx + n // 2, 0.0, n - 1)
-        i = np.fmax(t, 0.0).astype(np.intp)  # a NaN reads index 0
-        slope = (np.diff(values, append=values[-1])
-                 / np.diff(self.x, append=self.x[-1] + self.dx))
-        offset = np.clip(x, self.x[0], self.x[-1]) - self.x.take(i)
-        return values.take(i) + slope.take(i) * offset
+        t = np.divide(x, self.dx)
+        t += n // 2
+        np.clip(t, 0.0, n - 1, out=t)
+        i = np.fmax(t, 0.0, out=t).astype(np.intp)  # a NaN reads index 0
+        # i is in range: "clip" skips take's bounds check and its buffer
+        out = self.x.take(i, mode="clip")
+        offset = np.clip(x, self.x[0], self.x[-1], out=t)
+        offset -= out
+        slope.take(i, out=out, mode="clip")
+        out *= offset
+        out += values.take(i, out=offset, mode="clip")
+        return out

@@ -136,3 +136,69 @@ def test_record_keeps_the_finished_pairs_when_a_run_fails(tmp_path,
     assert entry["metrics"]["pass_s"]["change_wins"] == 1
     assert entry["attempted"] == {"parent": [3, 3], "change": [3, 3]}
     assert not (tmp_path / "b.json.tmp").exists()
+
+
+# -- measured times --------------------------------------------------------------
+
+
+_STDOUT = """deviate: 208 operations attempted, 0 failed, 13 passes
+deviate/measured/kernel_ms 1.22016
+deviate/measured/op_p50_ms 91.0769
+deviate/measured/pass_s 1.50738
+deviate/measured/setup_s 0.279351
+deviate/op_p50_ms 114.815 ms
+deviate/pass_s 1.81331 s
+{"correct": true, "attempted": 208, "failed": 0, "metrics": {"pass_s": {"value": 1.81331, "unit": "s"}}}
+"""
+
+
+def test_measured_lines_keep_the_unscaled_times_with_their_units():
+    got = bench_pairs.measured_lines(_STDOUT.splitlines(), "deviate")
+    assert got == {"kernel_ms": {"value": 1.22016, "unit": "ms"},
+                   "op_p50_ms": {"value": 91.0769, "unit": "ms"},
+                   "pass_s": {"value": 1.50738, "unit": "s"},
+                   "setup_s": {"value": 0.279351, "unit": "s"}}
+    assert bench_pairs.measured_lines(_STDOUT.splitlines(), "match_map") == {}
+
+
+def test_run_once_reads_the_summary_and_the_measured_lines(tmp_path):
+    (tmp_path / "jambench").mkdir()
+    (tmp_path / "jambench" / "run.py").write_text(
+        f"import sys\nassert sys.argv[1:] == ['--workload', 'deviate', "
+        f"'--seed', '7', '--trace', '0']\nprint({_STDOUT!r}, end='')\n")
+    got = bench_pairs.run_once(tmp_path, "deviate", 7)
+    assert got["attempted"] == 208
+    assert got["metrics"] == {"pass_s": {"value": 1.81331, "unit": "s"}}
+    assert got["measured"]["pass_s"] == {"value": 1.50738, "unit": "s"}
+    assert sorted(got["measured"]) == ["kernel_ms", "op_p50_ms", "pass_s",
+                                       "setup_s"]
+
+
+def test_record_summarizes_measured_times_beside_the_scaled_ones(tmp_path,
+                                                                 monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "pass_s", "better": "lower"}]}))
+    out = tmp_path / "b.json"
+    runs = iter([(2.0, 1.5, 1.0), (1.8, 1.2, 1.1),    # seed 1: parent, change
+                 (1.9, 1.4, 1.3), (2.1, 1.6, 1.2)])   # seed 2: change, parent
+
+    def run_once(checkout, workload, seed):
+        scaled, measured, kernel = next(runs)
+        return {"metrics": {"pass_s": {"value": scaled, "unit": "s"}},
+                "measured": {"pass_s": {"value": measured, "unit": "s"},
+                             "kernel_ms": {"value": kernel, "unit": "ms"}},
+                "failed": 0, "attempted": 3}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "deviate",
+                      "--seeds", "1-2", "--out", str(out)])
+    entry = json.loads(out.read_text())["workloads"]["deviate"]
+    assert entry["metrics"]["pass_s"]["parent"]["median"] == pytest.approx(2.05)
+    assert entry["metrics"]["pass_s"]["change"]["median"] == pytest.approx(1.85)
+    measured = entry["measured"]
+    assert sorted(measured) == ["kernel_ms", "pass_s"]
+    assert measured["pass_s"]["parent"]["median"] == pytest.approx(1.55)
+    assert measured["pass_s"]["change"]["median"] == pytest.approx(1.3)
+    assert measured["pass_s"]["change_wins"] == 2
+    assert measured["kernel_ms"]["unit"] == "ms"
+    assert measured["kernel_ms"]["change_wins"] == 0  # 1.1 > 1.0, 1.3 > 1.2

@@ -271,6 +271,44 @@ def test_inverse_cdf_is_built_on_first_draw():
     assert "_inverse_cdf" not in vars(tab.scaled(2.0))
 
 
+@pytest.mark.parametrize("b", [0.1, 1 / math.sqrt(2.0), 3.3, 1e3])
+def test_laplace_draws_are_generator_laplace_within_2_ulp(b):
+    d = jl.laplace(2.0 * b * b)
+    scale = d.sigma / math.sqrt(2.0)
+    for seed in range(50):
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = d.sample(mine, 10_007)
+        want = ref.laplace(0.0, scale, 10_007)
+        # equal signs, so the int64 views differ by the ulp count
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+        assert mine.random() == ref.random()  # the same uniforms were used
+
+
+class _Uniforms:
+    """Generator stub: ``random(size)`` hands out ``values`` in order."""
+
+    def __init__(self, values):
+        self.values, self.used = np.array(values, dtype=float), 0
+
+    def random(self, size):
+        self.used += size
+        return self.values[self.used - size:self.used].copy()
+
+
+def test_laplace_redraws_a_zero_uniform_as_generator_laplace_does():
+    # Generator.laplace skips a uniform of exactly 0, so every later draw
+    # reads the next uniform
+    rng = _Uniforms([0.3, 0.0, 0.7, 0.0, 0.0, 0.2, 0.5, 0.9, 0.25])
+    got = jl.laplace(2.0).sample(rng, 5)
+    assert rng.used == 8
+    assert np.all(np.isfinite(got))
+    want = [0.0 - math.log(2.0 - u - u) if u >= 0.5 else 0.0 + math.log(u + u)
+            for u in (0.3, 0.7, 0.2, 0.5, 0.9)]  # Generator.laplace's formula
+    assert np.abs(got.view(np.int64)
+                  - np.array(want).view(np.int64)).max() <= 2
+    assert not np.signbit(got[3])  # u = 1/2 gives 0 - log 1 = +0.0
+
+
 @given(st.sampled_from(sorted(FAMILIES)), variances(), st.floats(0.5, 2.0))
 def test_scaled_model(name, v, c):
     d = FAMILIES[name](v).scaled(c)

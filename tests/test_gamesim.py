@@ -80,9 +80,115 @@ def test_tabulated_jammer_result_pinned():
     assert out.std_error == 0.0039424916758046425
 
 
+_MIX_CFG = JammingGameConfig(
+    jl.gaussian_mixture([0.3, 0.7], [-1.0, 3.0 / 7.0], [0.5, 0.8]),
+    jl.gaussian(0.5), 1.0, 0.8)
+_RADEMACHER_CFG = JammingGameConfig(jl.rademacher_scaled(1.0), jl.laplace(1.0),
+                                    1.0, 1.0)
+
+
+def _branch_cases():
+    # one profile per branch of the chunk loop, each with Laplace draws
+    cubic = companding_encoders(UNIT_CFG)[1]
+    limiter = companding_encoders(UNIT_CFG)[2]
+    mix_gain = LinearDecoder(saddle_gain(_MIX_CFG))
+    return {
+        # 70,000 trials: one full chunk and one partial chunk
+        "deterministic, linear decoder": (UNIT_CFG, StrategyProfile(
+            cubic, IndependentNoise(jl.laplace(1.0)), LinearDecoder(0.4)),
+            70_000, {}),
+        "randomized, curve decoder": (UNIT_CFG, StrategyProfile(
+            RandomizedLinear(0.3), IndependentNoise(jl.laplace(1.0)),
+            mmse_decoder_for_encoder(UNIT_CFG, limiter, jl.laplace(1.0))),
+            20_000, {}),
+        "rho = 1, no residual": (UNIT_CFG, StrategyProfile(
+            RandomizedLinear(0.8), CorrelatedJammer(1.0, jl.gaussian(1.0)),
+            LinearDecoder(0.5)), 20_000, {}),
+        "rho = -0.5, per-sign tables": (UNIT_CFG, StrategyProfile(
+            RandomizedLinear(0.5), CorrelatedJammer(-0.5, jl.laplace(1.0)),
+            MmseGivenProfile()), 20_000, {}),
+        "rademacher source": (_RADEMACHER_CFG, StrategyProfile(
+            RandomizedLinear(0.5), IndependentNoise(jl.uniform(1.0)),
+            LinearDecoder(saddle_gain(_RADEMACHER_CFG))), 20_000, {}),
+        "mixture source": (_MIX_CFG, StrategyProfile(
+            RandomizedLinear(0.5), IndependentNoise(jl.laplace(0.8)), mix_gain),
+            20_000, {}),
+        "mixture source, gamma_seed": (_MIX_CFG, StrategyProfile(
+            RandomizedLinear(0.5), IndependentNoise(jl.laplace(0.8)), mix_gain),
+            20_000, {"gamma_seed": 5}),
+    }
+
+
+@pytest.mark.parametrize("case, cost, se", [
+    ("deterministic, linear decoder", 0.7542560193844696, 0.003796811627735999),
+    ("randomized, curve decoder", 1.4555851595985256, 0.014514694735895497),
+    ("rho = 1, no residual", 0.45127305871739626, 0.006629714000378674),
+    ("rho = -0.5, per-sign tables", 0.6533607726002874, 0.007112612117828458),
+    ("rademacher source", 0.6626027558497546, 0.005057435841187791),
+    ("mixture source", 0.5327620481138411, 0.005316407663159116),
+    ("mixture source, gamma_seed", 0.5346458354146479, 0.005299050953741241),
+])
+def test_chunk_loop_branches_pinned(case, cost, se):
+    # recorded with Generator.laplace draws and the allocating chunk loop;
+    # the vectorized Laplace inversion and the in-place loop keep these bits
+    cfg, profile, trials, kw = _branch_cases()[case]
+    out = simulate(cfg, profile, trials, seed=31, **kw)
+    assert out.empirical_cost == cost
+    assert out.std_error == se
+
+
 def test_trial_floor_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 10\\^4 trials required"):
         simulate(UNIT_CFG, saddle_profile(UNIT_CFG), 5_000, seed=1)
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({"trials": 1e5}, "trials"),
+    ({"trials": 10_000.0}, "trials"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": "7"}, "seed"),
+    ({"gamma_seed": -2}, "gamma_seed"),
+    ({"gamma_seed": 0.5}, "gamma_seed"),
+])
+def test_simulate_checks_trials_and_seeds_before_drawing(monkeypatch, kw, name):
+    def no_draws(*args):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(gamesim, "_rng", no_draws)
+    args = {"trials": 10_000, "seed": 1, **kw}
+    with pytest.raises(ValueError, match=f"^{name} must be an? (non-negative )?integer, got "):
+        simulate(UNIT_CFG, saddle_profile(UNIT_CFG), **args)
+
+
+def test_simulate_takes_numpy_integers():
+    a = simulate(UNIT_CFG, saddle_profile(UNIT_CFG), np.int64(10_000),
+                 seed=np.uint32(3), gamma_seed=np.int16(4))
+    b = simulate(UNIT_CFG, saddle_profile(UNIT_CFG), 10_000, seed=3, gamma_seed=4)
+    assert (a.empirical_cost, a.std_error) == (b.empirical_cost, b.std_error)
+
+
+_LAPLACE_CFG = JammingGameConfig(jl.laplace(1.0), jl.laplace(1.0), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("harness", [
+    lambda trials, seed: verify_rhs_inequality(_LAPLACE_CFG, trials, seed),
+    lambda trials, seed: verify_lhs_inequality(_LAPLACE_CFG, trials, seed),
+    lambda trials, seed: bernoulli_exploit_check(
+        _LAPLACE_CFG, [0.5], CorrelatedJammer(0.7, jl.gaussian(1.0)), trials, seed),
+], ids=["rhs", "lhs", "exploit"])
+@pytest.mark.parametrize("trials, seed, name", [
+    (1e5, 1, "trials"), (10_000, -1, "seed"), (10_000, 1.5, "seed")])
+def test_harnesses_check_trials_and_seed_first(monkeypatch, harness, trials,
+                                                seed, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the arguments were checked")
+
+    monkeypatch.setattr(gamesim, "synthesize_jammer", no_work)
+    monkeypatch.setattr(gamesim, "_per_sign_mmse_tables", no_work)
+    monkeypatch.setattr(gamesim, "_rng", no_work)
+    with pytest.raises(ValueError, match=f"^{name} must be an? (non-negative )?integer, got "):
+        harness(trials, seed)
 
 
 def test_seed_invariance_within_noise():
