@@ -73,18 +73,14 @@ def _erfc_inverse(t: float) -> float:
 
 
 def _laplace(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
-    """``size`` draws of ``rng.laplace(0.0, b, size)`` within 2 ulp, from the
-    same uniforms.
+    """``rng.laplace(0.0, b, size)`` within 2 ulp, from the same uniforms.
 
-    ``Generator.laplace`` maps each uniform u in (0, 1) to ``0 - b log(2 - u
-    - u)`` for u >= 1/2 and ``0 + b log(u + u)`` below, through the C
-    library's scalar log, and redraws a u of exactly 0.  Here the log is
-    numpy's vectorized one, which differs from the C library's by at most
-    2 ulp; the rest of the arithmetic is the same.  The branch is a blend of
-    int64 bit views: masked ufuncs and ``np.where`` cost as much as the
-    scalar logs saved.  b log(.) <= 0 on both branches, so the draw is its
-    magnitude with the sign bit set below 1/2, and u = 1/2 gives +0.0 as
-    ``0 - b log 1`` does.
+    ``Generator.laplace`` maps u in (0, 1) to ``0 - b log(2 - u - u)`` for
+    u >= 1/2 and ``0 + b log(u + u)`` below, with the C library's scalar
+    log, and redraws a u of 0.  Here the log is numpy's vectorized one, and
+    the branch is a blend of int64 bit views: masked ufuncs and ``np.where``
+    cost what the vector log saves.  b log(.) <= 0 on both branches, so a
+    draw is its magnitude with the sign bit set below 1/2 (u = 1/2 gives +0).
     """
     u = rng.random(size)
     while not u.all():  # a zero uniform: the draws after it shift up by one
@@ -255,15 +251,11 @@ class DistributionModel:
     # -- sampling ------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` draws, as a new array the caller may write over.
-
-        A Laplace model inverts ``size`` uniforms (``rng.random``) as
-        ``Generator.laplace`` does, with numpy's vectorized log: its draws
-        are ``rng.laplace(0.0, b, size)``'s within 2 ulp, b = sigma/sqrt(2),
-        and it leaves ``rng`` where that call would.  A tabulated model
-        inverts its CDF at the right cell edges: its draws equal
-        ``np.interp(rng.random(size), cdf, edges)`` bit for bit, with the
-        normalized CDF ``cdf``."""
+        """``size`` draws, in a new array the caller may write over.  A
+        Laplace model's are ``rng.laplace(0.0, sigma / sqrt 2, size)``'s
+        within 2 ulp, from the same uniforms.  A tabulated model inverts its
+        CDF at the right cell edges: its draws equal ``np.interp(rng.random(
+        size), cdf, edges)`` bit for bit, with the normalized CDF ``cdf``."""
         if self.kind == GAUSSIAN:
             return rng.normal(0.0, self.sigma, size)
         if self.kind == LAPLACE:

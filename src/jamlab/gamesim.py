@@ -317,17 +317,15 @@ def simulate(cfg: JammingGameConfig, profile: StrategyProfile, trials: int,
     sums = np.zeros(nchunks)
     squares = np.zeros(nchunks)
     for chunk in range(nchunks):
-        # the arrays sample returns are worked on in place; each sum and
-        # product keeps the operands of U = (enc(X) + Z) + N and
-        # X_hat = gamma dec(gamma U), so the bits stay those of the plain
-        # expressions (a sign flip is exact, and + and * commute bitwise)
+        # in place, with the operands of U = (enc(X) + Z) + N and X_hat =
+        # gamma dec(gamma U): + and * commute bitwise, and sign flips are exact
         k = min(_CHUNK, trials - chunk * _CHUNK)
         x = cfg.source.sample(_rng(seed, _STREAM_X, chunk), k)
         u = cfg.channel_noise.sample(_rng(seed, _STREAM_N, chunk), k)
         z = np.zeros(k) if residual is None \
             else residual.sample(_rng(seed, _STREAM_Z, chunk), k)
         if c_coef != 0.0:
-            z += np.multiply(x, c_coef)
+            z += c_coef * x
         if randomized:
             gam = _rng(gseed, _STREAM_GAMMA, chunk).random(k)
             plus = gam < enc.bernoulli_p

@@ -68,11 +68,10 @@ class GridSpec:
                slope: np.ndarray | None = None) -> np.ndarray:
         """``np.interp(x, self.x, values)``, with the interval found by index
         arithmetic on the uniform grid instead of by binary search.
-
-        ``slope`` is ``self.slope(values)``, for a caller that looks one
-        table up many times.  The result is a new array; ``x`` is left as
-        it is.
-        """
+        ``slope``, ``self.slope(values)``, may be given by a caller that
+        looks one table up many times."""
+        if np.ndim(x) == 0:  # the steps below write into arrays
+            return self.lookup(np.array([x], dtype=float), values, slope)[0]
         if slope is None:
             slope = self.slope(values)
         n = self.num_points

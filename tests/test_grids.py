@@ -54,8 +54,24 @@ def test_lookup_matches_interp(n, L, seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
     x = rng.uniform(g.x[0], g.x[-1], size=1000)
-    np.testing.assert_allclose(g.lookup(x, values), np.interp(x, g.x, values),
+    got = g.lookup(x, values)
+    np.testing.assert_allclose(got, np.interp(x, g.x, values),
                                rtol=0, atol=1e-14 * np.max(np.abs(values)))
+    assert np.array_equal(got.view(np.int64),
+                          _allocating_lookup(g, x, values).view(np.int64))
+    assert np.array_equal(g.lookup(x, values, g.slope(values)), got)
+    assert g.lookup(x[0], values) == got[0]
+
+
+def _allocating_lookup(g, x, values):
+    """The lookup as one expression per step: the bits it must keep."""
+    n = g.num_points
+    t = np.clip(x / g.dx + n // 2, 0.0, n - 1)
+    i = np.fmax(t, 0.0).astype(np.intp)
+    slope = (np.diff(values, append=values[-1])
+             / np.diff(g.x, append=g.x[-1] + g.dx))
+    offset = np.clip(x, g.x[0], g.x[-1]) - g.x.take(i)
+    return values.take(i) + slope.take(i) * offset
 
 
 @given(st.sampled_from([64, 1024, 8192]), st.floats(0.1, 1e3, allow_nan=False),
