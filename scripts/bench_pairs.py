@@ -21,7 +21,13 @@ lower being better.  It also holds each checkout's commit (``git rev-parse
 HEAD``, or null where the directory is not the root of a git checkout).
 An existing ``--out`` file keeps its other workloads; this workload's entry
 is replaced.  The file is written after every pair, with the summary over
-the pairs so far, so a run that fails or is stopped keeps its finished pairs.
+the pairs so far, so a run that is stopped keeps its finished pairs.
+
+A pair in which either side's ``run.py`` exits non-zero (a failed check of
+the workload's own, or a crash) is listed under ``failed_pairs`` with each
+side's ``exit_code`` and left out of the summaries; the record goes on with
+the next seed, and the script exits 1 at the end.  A ``--workload`` that
+the change's ``BENCHMARK.json`` does not name is an argparse error.
 """
 
 from __future__ import annotations
@@ -80,15 +86,18 @@ def measured_lines(lines: list[str], workload: str) -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """The run's JSON summary with its ``measured`` lines and ``exit_code``;
+    a run that printed no summary gives only the exit code."""
     cmd = [sys.executable, "jambench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited with "
-                           f"{proc.returncode}")
     lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1])
-    result["measured"] = measured_lines(lines, workload)
+    try:
+        result = json.loads(lines[-1])
+        result["measured"] = measured_lines(lines, workload)
+    except (IndexError, TypeError, ValueError):
+        result = {}
+    result["exit_code"] = proc.returncode
     return result
 
 
@@ -103,7 +112,8 @@ def summarize(pairs: list[dict], better: dict[str, str],
               section: str = "metrics") -> dict:
     """Both sides' spread of each metric in every run's ``section``."""
     names = sorted(set.intersection(*(set(p[side].get(section, {}))
-                                      for p in pairs for side in SIDES)))
+                                      for p in pairs for side in SIDES))
+                   if pairs else ())
     out = {}
     for name in names:
         got = {side: [p[side][section][name]["value"] for p in pairs]
@@ -129,10 +139,11 @@ def summarize(pairs: list[dict], better: dict[str, str],
 
 
 def write_record(out: Path, workload: str, commits: dict, pairs: list[dict],
-                 better: dict[str, str]) -> dict:
+                 better: dict[str, str], failed_pairs: list[dict]) -> dict:
     """Write ``workload``'s entry over ``pairs`` into the record ``out``,
-    keeping its other workloads, and return the entry.  The file is
-    replaced whole, so a run stopped while writing leaves the last record."""
+    with ``failed_pairs`` listed apart, keeping its other workloads, and
+    return the entry.  The file is replaced whole, so a run stopped while
+    writing leaves the last record."""
     record = json.loads(out.read_text()) if out.exists() else {}
     record.setdefault("workloads", {})
     record["host"] = {"cpus": os.cpu_count(), "machine": platform.machine(),
@@ -147,6 +158,7 @@ def write_record(out: Path, workload: str, commits: dict, pairs: list[dict],
         "attempted": {side: [p[side]["attempted"] for p in pairs]
                       for side in SIDES},
         "pairs": pairs,
+        "failed_pairs": failed_pairs,
     }
     tmp = out.with_name(out.name + ".tmp")
     tmp.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
@@ -166,26 +178,37 @@ def main(argv=None) -> int:
 
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+    named = [w["name"] for w in bench.get("workloads", [])]
+    if args.workload not in named:
+        parser.error(f"argument --workload: {args.workload!r} is not a workload "
+                     f"of {dirs['change'] / 'BENCHMARK.json'} ({', '.join(named)})")
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     commits = {side: git_head(dirs[side]) for side in SIDES}
-    pairs = []
+    pairs, failed_pairs = [], []
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side] = run_once(dirs[side], args.workload, seed)
-            print(f"{args.workload} seed {seed} {side}: " + ", ".join(
-                f"{k} {v['value']:.4g}" for k, v in
-                sorted(pair[side]["metrics"].items())), flush=True)
-        pairs.append(pair)
+            print(f"{args.workload} seed {seed} {side}: exit "
+                  f"{pair[side]['exit_code']}; " + ", ".join(
+                      f"{k} {v['value']:.4g}" for k, v in
+                      sorted(pair[side].get("metrics", {}).items())), flush=True)
+        ok = all(pair[side]["exit_code"] == 0 for side in SIDES)
+        (pairs if ok else failed_pairs).append(pair)
         entry = write_record(args.out, args.workload, commits, pairs,
-                             better)
+                             better, failed_pairs)
     for section in ("metrics", "measured"):
         for name, m in entry[section].items():
             label = name if section == "metrics" else f"measured/{name}"
             print(f"{args.workload}/{label}: {m['parent']['median']:.4g} -> "
                   f"{m['change']['median']:.4g} {m['unit']}, "
                   f"{m['change_wins']}/{m['pairs']} wins")
+    if failed_pairs:
+        print(f"{args.workload}: left out {len(failed_pairs)} pair(s) with a "
+              f"non-zero exit, seeds " + ", ".join(
+                  str(p["seed"]) for p in failed_pairs), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -202,8 +202,8 @@ def density_from_cf(cf: CharacteristicFunction) -> DistributionModel:
     Requires finite samples, F(0)=1 and Hermitian symmetry, raising
     ``ValueError`` or ``NotHermitian`` with the reason ``check_validity``
     would record; the imaginary residue of the inversion must stay below
-    1e-6.  Negative ringing is clipped away and the pre-clip floor is
-    recorded on the output model.
+    1e-6.  Negative ringing is clipped away and the pre-clip floor, 0 where
+    no sample is negative, is recorded on the output model.
     """
     failed = _structural_failure(cf)
     if failed:
@@ -212,8 +212,7 @@ def density_from_cf(cf: CharacteristicFunction) -> DistributionModel:
     imag = float(np.max(np.abs(f.imag)))
     if imag > 1e-6:
         raise ExcessImaginary(f"imaginary residue {imag:.3g} exceeds 1e-6")
-    vals = f.real
-    return tabulated(cf.grid, vals, negativity_floor=float(vals.min()))
+    return tabulated(cf.grid, f.real)
 
 
 # -- algebra ------------------------------------------------------------------

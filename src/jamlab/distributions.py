@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MomentOverflow, NonZeroMean
+from .errors import MomentOverflow, NonZeroMean, check_integer
 from .grids import GridSpec
 
 GAUSSIAN = "gaussian"
@@ -237,15 +237,13 @@ class DistributionModel:
             return out
         if self.kind == TABULATED:
             # direct sum; exact transform of the table at any frequency
-            out = np.empty(omega.shape, dtype=complex)
             flat = omega.reshape(-1)
-            res = np.empty(flat.shape, dtype=complex)
+            out = np.empty(flat.shape, dtype=complex)
             chunk = max(1, 2**22 // self.grid.num_points)
             for i in range(0, flat.size, chunk):
                 block = flat[i:i + chunk, None] * self.grid.x[None, :]
-                res[i:i + chunk] = (np.exp(1j * block) @ self.table) * self.grid.dx
-            out[...] = res.reshape(omega.shape)
-            return out
+                out[i:i + chunk] = (np.exp(1j * block) @ self.table) * self.grid.dx
+            return out.reshape(omega.shape)
         raise ValueError(self.kind)
 
     # -- sampling ------------------------------------------------------------
@@ -458,19 +456,18 @@ def gaussian_mixture(weights, means, sigmas) -> DistributionModel:
     return DistributionModel(GAUSSIAN_MIXTURE, variance, components=comps)
 
 
-def tabulated(grid: GridSpec, values: np.ndarray,
-              negativity_floor: float = 0.0) -> DistributionModel:
+def tabulated(grid: GridSpec, values: np.ndarray) -> DistributionModel:
     """Tabulated density on ``grid``; values are clipped at 0 and renormalized.
 
-    Negative values are not rejected: the lower of the table's minimum and
-    ``negativity_floor`` is recorded as the model's ``negativity_floor``.
+    Negative values are not rejected: the lower of the table's minimum and 0
+    is recorded as the model's ``negativity_floor``.
     Raises ``ValueError`` if the table does not fit the grid, has no positive
     mass or does not integrate to 1 within 1e-6, and ``NonZeroMean`` if its mean is not zero.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.num_points,):
         raise ValueError("table shape must match the grid")
-    floor = float(min(values.min(), negativity_floor))
+    floor = float(min(values.min(), 0.0))
     scale = float(values.max())
     if scale <= 0:
         raise ValueError("table has no positive mass")
@@ -502,9 +499,9 @@ def _double_factorial(k: int) -> float:
 
 
 def moments(dist: DistributionModel, up_to: int) -> np.ndarray:
-    """Central moments m_0..m_up_to (closed forms; quadrature for tables)."""
-    if up_to > _MOMENT_ORDER_CAP:
-        raise ValueError(f"moment order capped at {_MOMENT_ORDER_CAP}")
+    """Central moments m_0..m_up_to (closed forms; quadrature for tables).
+    An ``up_to`` that is no integer in [0, 24] raises ``ValueError``."""
+    check_integer("moment order", up_to, 0, _MOMENT_ORDER_CAP)
     ks = np.arange(up_to + 1)
     if dist.kind == TABULATED:
         x, f, dx = dist.grid.x, dist.table, dist.grid.dx

@@ -1,4 +1,15 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its integer-argument check."""
+
+import numbers
+
+
+def check_integer(name: str, value, least: int, most: int | None = None) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer, numpy's
+    included, of at least ``least`` and, where given, at most ``most``."""
+    if not (isinstance(value, numbers.Integral) and least <= value
+            and (most is None or value <= most)):
+        bound = f"of at least {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 class JamlabError(Exception):

@@ -199,16 +199,19 @@ def distortion_of(source: DistributionModel, noise: DistributionModel,
                   estimator, grid: GridSpec | None = None) -> float:
     """E[(X - h(X+Z))^2] by direct two-dimensional quadrature.
 
-    ``estimator`` is an :class:`EstimatorCurve` or a plain linear gain.  Grid
-    positions are closed under addition, so h(x+z) is an exact table lookup
-    on a doubled index range with nearest-value extension beyond the grid.
+    ``estimator`` is an :class:`EstimatorCurve` or a plain linear gain, which
+    must be finite (else ``ValueError``).  Grid positions are closed under
+    addition, so h(x+z) is an exact table lookup on a doubled index range
+    with nearest-value extension beyond the grid.
     """
+    curve = isinstance(estimator, EstimatorCurve)
+    if not (curve or math.isfinite(estimator)):
+        raise ValueError(f"estimator gain must be finite, got {estimator!r}")
     if grid is None:
-        grid = estimator.grid if isinstance(estimator, EstimatorCurve) \
-            else default_grid(source, noise)
+        grid = estimator.grid if curve else default_grid(source, noise)
     _check_tails(grid, source, noise)
     n = grid.num_points
-    if isinstance(estimator, EstimatorCurve):
+    if curve:
         if estimator.grid != grid:
             raise ValueError("estimator curve lives on a different grid")
         h = estimator.values

@@ -390,11 +390,10 @@ class DeviationReport:
         return all(e.passed for e in self.entries)
 
 
-def companding_encoders(cfg: JammingGameConfig,
-                        grid: GridSpec | None = None) -> list[DeterministicEncoder]:
-    """Power-normalized deviation family: linear, odd cubic mix, hard limiter."""
-    if grid is None:
-        grid = default_grid(cfg.source)
+def companding_encoders(cfg: JammingGameConfig) -> list[DeterministicEncoder]:
+    """Power-normalized deviation family on the source's default grid: linear,
+    odd cubic mix, hard limiter."""
+    grid = default_grid(cfg.source)
     fx = cfg.source.pdf_on(grid)
 
     def normalized(raw, label):

@@ -144,8 +144,7 @@ def synthesize_jammer(cfg: JammingGameConfig, grid: GridSpec | None = None,
                           jammer_variance=variance_from_cf(quotient))
 
 
-def identical_distribution_check(cfg: JammingGameConfig,
-                                 grid: GridSpec | None = None) -> bool:
+def identical_distribution_check(cfg: JammingGameConfig) -> bool:
     """Check the equal-everything special case: jammer reproduces the source.
 
     Requires source and noise of the same family and variance with
@@ -161,7 +160,7 @@ def identical_distribution_check(cfg: JammingGameConfig,
     if not (same_family and same_var and powers_eq):
         raise PreconditionViolated(
             "identical-distribution check needs X ~ N and P_T = P_A = var_N")
-    result = synthesize_jammer(cfg, grid)
+    result = synthesize_jammer(cfg)
     if not result.matched:
         return False
     want = cf_of(cfg.source.scaled(cfg.alpha_t), result.jammer_cf.grid)

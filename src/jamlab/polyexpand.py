@@ -26,6 +26,7 @@ approximate it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from .charfun import cf_divide, cf_of, cf_power, check_validity
 from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
 from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
-                     UnstableIntegration)
+                     UnstableIntegration, check_integer)
 from .estimation import (_DENSITY_FLOOR, BayesRatio, _check_output_mass,
                          _check_tails, _curve_of, _gated_ratio)
 from .grids import GridSpec, read_only_copy
@@ -85,12 +86,12 @@ def build_basis(output_density: DistributionModel, order: int) -> OrthoPolyBasis
     and fully reorthogonalized (two passes).  Raises ``IllConditioned`` when
     the standardized moment Hankel matrix has condition estimate above 1e12;
     in practice order 12 already trips this for smooth measures, so usable
-    orders end around 8-10.
+    orders end around 8-10.  An ``order`` that is no integer in [0, 12]
+    raises ``ValueError``.
     """
     if output_density.kind != "tabulated":
         raise ValueError("basis measure must be a tabulated density")
-    if not (0 <= order <= _ORDER_CAP):
-        raise ValueError(f"order must lie in [0, {_ORDER_CAP}]")
+    check_integer("order", order, 0, _ORDER_CAP)
     grid = output_density.grid
     fu = output_density.table
     w = fu * grid.dx
@@ -204,9 +205,9 @@ class GaussianMixtureFamily:
     k: int = 3
 
     def __post_init__(self):
-        if not 1 <= self.k <= 4:
+        if not (isinstance(self.k, numbers.Integral) and 1 <= self.k <= 4):
             raise ValueError(
-                f"mixture needs 1 <= k <= 4 components, got k={self.k}")
+                f"mixture needs 1 <= k <= 4 components, k an integer, got k={self.k!r}")
 
     @property
     def parameter_count(self) -> int:
@@ -220,7 +221,7 @@ class GridTableFamily:
 
     Nonparametric, so it holds the matching noise whenever one exists.  The
     search over it is a deterministic convex solve: ``seed`` and ``maxfev``
-    do not apply, and the parameter cap does not either.
+    are checked but not read, and the parameter cap does not apply.
     """
 
 
@@ -435,11 +436,6 @@ def _grid_table_search(objective: _TableEnergy, budget: float, grid: GridSpec):
     return _match_moments(f, rows, target, dx), steps, converged
 
 
-def _check_family(family) -> None:
-    if not isinstance(family, (GaussianMixtureFamily, GridTableFamily)):
-        raise ValueError(f"unknown family {family!r}")
-
-
 def _search_energy(source: DistributionModel, noise_budget: float,
                    grid: GridSpec | None):
     """(grid, ``_TableEnergy`` of the source) for a search at this budget."""
@@ -449,15 +445,6 @@ def _search_energy(source: DistributionModel, noise_budget: float,
         scale = math.sqrt(noise_budget / source.variance)
         grid = default_grid(source, source.scaled(scale), num_points=2048)
     return grid, _TableEnergy(source.pdf_on(grid), grid)
-
-
-def _mixture_objective(energy: _TableEnergy, k: int, budget: float, grid: GridSpec):
-    """Tail energy of the k-component mixture a parameter vector unpacks to,
-    or inf where it unpacks to none."""
-    def objective(params):
-        got = _unpack_mixture(params, k, budget, 2.0 * grid.dx)
-        return float("inf") if got is None else energy.tail(_mixture_table(*got, grid))[0]
-    return objective
 
 
 def worst_noise_search(source: DistributionModel, noise_budget: float,
@@ -473,21 +460,28 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     objective is the full nonlinear coefficient energy of the induced optimal
     estimator (see module docstring), not a sum truncated at an order:
     ``order`` is accepted for the caller's record and not read, and no
-    expansion coefficients are returned.
+    expansion coefficients are returned.  An unknown family, a ``seed`` that
+    is no integer from 0, or a ``maxfev`` that is no integer from 1 raises
+    ``ValueError`` for either family, before any spectrum is built.
     """
-    _check_family(family)
-    parametric = not isinstance(family, GridTableFamily)
-    if parametric and maxfev < 1:
-        raise ValueError("maxfev must be at least 1")
+    if not isinstance(family, (GaussianMixtureFamily, GridTableFamily)):
+        raise ValueError(f"unknown family {family!r}")
+    check_integer("seed", seed, 0)
+    check_integer("maxfev", maxfev, 1)
     grid, energy = _search_energy(source, noise_budget, grid)
-    if not parametric:
+    if isinstance(family, GridTableFamily):
         fz, steps, converged = _grid_table_search(energy, noise_budget, grid)
         tail, mmse = energy.tail(fz)
         return NoiseSearchResult(noise=tabulated(grid, fz), objective=tail,
                                  mmse_attained=mmse, iterations=steps,
                                  converged=converged)
     from scipy.optimize import minimize  # loaded only when a mixture search runs
-    objective = _mixture_objective(energy, family.k, noise_budget, grid)
+
+    def objective(params):
+        """Tail energy of the mixture ``params`` unpacks to, or inf for none."""
+        got = _unpack_mixture(params, family.k, noise_budget, 2.0 * grid.dx)
+        return float("inf") if got is None else energy.tail(_mixture_table(*got, grid))[0]
+
     rng = np.random.default_rng(seed)
     best = best_x = None
     total_evals, converged = 0, False
@@ -510,20 +504,6 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
                              converged=converged)
 
 
-def probe_family(source: DistributionModel, noise_budget: float,
-                 family, n_probes: int, seed: int,
-                 grid: GridSpec | None = None) -> np.ndarray:
-    """Objective values of random parameter draws; local-optimality witness."""
-    _check_family(family)
-    if isinstance(family, GridTableFamily):
-        raise ValueError("probing needs a parametric family")
-    grid, energy = _search_energy(source, noise_budget, grid)
-    objective = _mixture_objective(energy, family.k, noise_budget, grid)
-    rng = np.random.default_rng(seed)
-    return np.array([objective(rng.normal(0.0, 0.7, family.parameter_count))
-                     for _ in range(n_probes)])
-
-
 # -- noise recovery from a linear estimator -------------------------------------------
 
 
@@ -543,10 +523,12 @@ def noise_from_estimator(source: DistributionModel, estimator_coeffs,
     grid too narrow for it raises ``GridTooNarrow``.
 
     Trailing zero coefficients are trimmed.  A zero or constant estimator,
-    or a slope b_1 <= 0, raises ``UnstableIntegration``; degree 2 and above
-    raise ``ValueError``.
+    or a slope b_1 <= 0, raises ``UnstableIntegration``; a coefficient that
+    is not finite, or degree 2 and above, raises ``ValueError``.
     """
     b = np.asarray(estimator_coeffs, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"estimator coefficients must be finite, got {b}")
     if not np.any(np.abs(b) > 1e-14):
         raise UnstableIntegration(
             "estimator is identically zero: no additive-noise channel of "

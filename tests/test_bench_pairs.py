@@ -109,33 +109,66 @@ def test_summarize_worse_change_and_flat_parent():
 # -- record --------------------------------------------------------------------
 
 
+_BENCH = {"workloads": [{"name": "deviate"}, {"name": "match_map"}],
+          "end_to_end": [{"name": "pass_s", "better": "lower"}]}
+
+
 def test_record_keeps_the_finished_pairs_when_a_run_fails(tmp_path,
-                                                          monkeypatch):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "pass_s", "better": "lower"}]}))
+                                                          monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(_BENCH))
     out = tmp_path / "b.json"
     calls = []
 
     def run_once(checkout, workload, seed):
         calls.append((workload, seed))
-        if len(calls) == 5:
-            raise RuntimeError("run 5 failed")
+        code = 1 if len(calls) == 5 else 0
         return {"metrics": {"pass_s": {"value": float(len(calls)),
                                        "unit": "s"}},
-                "failed": 0, "attempted": 3}
+                "failed": 0, "attempted": 3, "exit_code": code}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    with pytest.raises(RuntimeError, match="run 5 failed"):
-        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload",
-                          "deviate", "--seeds", "1-4", "--out", str(out)])
+    assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload",
+                             "deviate", "--seeds", "1-4", "--out", str(out)]) == 1
+    assert "seeds 3" in capsys.readouterr().err
+    assert len(calls) == 8  # the record went on after the failed run
     entry = json.loads(out.read_text())["workloads"]["deviate"]
-    assert entry["seeds"] == [1, 2]
-    assert [p["first"] for p in entry["pairs"]] == ["parent", "change"]
-    # pair 1 ran parent then change (1, 2); pair 2 change then parent (3, 4)
-    assert entry["metrics"]["pass_s"]["pairs"] == 2
-    assert entry["metrics"]["pass_s"]["change_wins"] == 1
-    assert entry["attempted"] == {"parent": [3, 3], "change": [3, 3]}
+    # pair 1 ran parent then change (1, 2); pair 2 change then parent (3, 4);
+    # pair 3's parent run (5) exited 1; pair 4 ran change then parent (7, 8)
+    assert entry["seeds"] == [1, 2, 4]
+    assert [p["first"] for p in entry["pairs"]] == ["parent", "change", "change"]
+    [failed] = entry["failed_pairs"]
+    assert failed["seed"] == 3 and failed["first"] == "parent"
+    assert (failed["parent"]["exit_code"], failed["change"]["exit_code"]) == (1, 0)
+    assert entry["metrics"]["pass_s"]["pairs"] == 3
+    assert entry["metrics"]["pass_s"]["change_wins"] == 2  # 3 < 4, 7 < 8
+    assert entry["metrics"]["pass_s"]["parent"]["median"] == 4.0  # 1, 4, 8
+    assert entry["attempted"] == {"parent": [3, 3, 3], "change": [3, 3, 3]}
     assert not (tmp_path / "b.json.tmp").exists()
+
+
+def test_a_record_with_no_clean_pair_has_empty_summaries(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(_BENCH))
+    out = tmp_path / "b.json"
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed: {"exit_code": 1})
+    assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload",
+                             "deviate", "--seeds", "5-6", "--out", str(out)]) == 1
+    entry = json.loads(out.read_text())["workloads"]["deviate"]
+    assert entry["seeds"] == [] and entry["metrics"] == {}
+    assert [p["seed"] for p in entry["failed_pairs"]] == [5, 6]
+
+
+def test_a_workload_the_benchmark_does_not_name_is_an_argparse_error(
+        tmp_path, capsys, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(_BENCH))
+    monkeypatch.setattr(bench_pairs, "run_once", None)  # never reached
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "devaite",
+                          "--seeds", "1-2", "--out", str(tmp_path / "b.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--workload" in err and "'devaite'" in err and "match_map" in err
+    assert not (tmp_path / "b.json").exists()
 
 
 # -- measured times --------------------------------------------------------------
@@ -167,6 +200,7 @@ def test_run_once_reads_the_summary_and_the_measured_lines(tmp_path):
         f"import sys\nassert sys.argv[1:] == ['--workload', 'deviate', "
         f"'--seed', '7', '--trace', '0']\nprint({_STDOUT!r}, end='')\n")
     got = bench_pairs.run_once(tmp_path, "deviate", 7)
+    assert got["exit_code"] == 0
     assert got["attempted"] == 208
     assert got["metrics"] == {"pass_s": {"value": 1.81331, "unit": "s"}}
     assert got["measured"]["pass_s"] == {"value": 1.50738, "unit": "s"}
@@ -174,10 +208,27 @@ def test_run_once_reads_the_summary_and_the_measured_lines(tmp_path):
                                        "setup_s"]
 
 
+@pytest.mark.parametrize("code, tail", [
+    (1, "print({_STDOUT!r}, end='')\nsys.exit(1)\n"),
+    (3, "sys.exit(3)\n"),
+    (1, "raise RuntimeError('worker exited with 1')\n"),
+], ids=["failed-check", "no-output", "crash"])
+def test_run_once_keeps_the_exit_code_of_a_failed_run(tmp_path, code, tail):
+    (tmp_path / "jambench").mkdir()
+    (tmp_path / "jambench" / "run.py").write_text(
+        "import sys\n" + tail.format(_STDOUT=_STDOUT))
+    got = bench_pairs.run_once(tmp_path, "deviate", 7)
+    assert got["exit_code"] == code
+    if "print" in tail:
+        assert got["attempted"] == 208
+        assert got["measured"]["pass_s"]["value"] == 1.50738
+    else:
+        assert got == {"exit_code": code}
+
+
 def test_record_summarizes_measured_times_beside_the_scaled_ones(tmp_path,
                                                                  monkeypatch):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "pass_s", "better": "lower"}]}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(_BENCH))
     out = tmp_path / "b.json"
     runs = iter([(2.0, 1.5, 1.0), (1.8, 1.2, 1.1),    # seed 1: parent, change
                  (1.9, 1.4, 1.3), (2.1, 1.6, 1.2)])   # seed 2: change, parent
@@ -187,11 +238,11 @@ def test_record_summarizes_measured_times_beside_the_scaled_ones(tmp_path,
         return {"metrics": {"pass_s": {"value": scaled, "unit": "s"}},
                 "measured": {"pass_s": {"value": measured, "unit": "s"},
                              "kernel_ms": {"value": kernel, "unit": "ms"}},
-                "failed": 0, "attempted": 3}
+                "failed": 0, "attempted": 3, "exit_code": 0}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "deviate",
-                      "--seeds", "1-2", "--out", str(out)])
+    assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload",
+                             "deviate", "--seeds", "1-2", "--out", str(out)]) == 0
     entry = json.loads(out.read_text())["workloads"]["deviate"]
     assert entry["metrics"]["pass_s"]["parent"]["median"] == pytest.approx(2.05)
     assert entry["metrics"]["pass_s"]["change"]["median"] == pytest.approx(1.85)

@@ -57,6 +57,28 @@ def test_tabulated_rejects_shifted_mean():
         jl.tabulated(g, f)
 
 
+def test_tabulated_records_the_smaller_of_its_minimum_and_zero():
+    g = jl.GridSpec(12.0, 256)
+    f = jl.gaussian(1.0).pdf_on(g)
+    assert f.min() > 0.0
+    assert jl.tabulated(g, f).negativity_floor == 0.0
+    f[5] = f[-5] = -2e-7  # symmetric dips keep the mean at zero
+    tab = jl.tabulated(g, f)
+    assert tab.negativity_floor == -2e-7
+    assert tab.table.min() == 0.0
+
+
+def test_tabulated_cf_of_a_2d_frequency_array_is_the_flat_call():
+    g = jl.GridSpec(12.0, 256)
+    tab = jl.tabulated(g, jl.laplace(1.0).pdf_on(g))
+    omega = np.linspace(-3.0, 3.0, 600).reshape(20, 30)
+    got = tab.cf_at(omega)
+    assert got.shape == (20, 30) and got.dtype == complex
+    assert got.tobytes() == tab.cf_at(omega.ravel()).tobytes()
+    point = tab.cf_at(0.5)
+    assert point.shape == () and point == tab.cf_at([0.5])[0]
+
+
 # -- cell-averaged tables ------------------------------------------------------
 
 
@@ -142,6 +164,17 @@ def test_mixture_moments_match_quadrature():
 def test_moment_order_cap():
     with pytest.raises(ValueError):
         jl.moments(jl.gaussian(1.0), 25)
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, 4.0])
+def test_moment_order_must_be_a_whole_number_from_zero(order):
+    with pytest.raises(ValueError, match="^moment order must be an integer in"):
+        jl.moments(jl.gaussian(1.0), order)
+
+
+def test_moment_order_may_be_a_numpy_integer():
+    assert np.array_equal(jl.moments(jl.laplace(1.0), np.int64(4)),
+                          jl.moments(jl.laplace(1.0), 4))
 
 
 def test_moment_overflow_on_narrow_grid():

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -145,6 +146,12 @@ def test_zero_estimator_gives_source_variance():
     assert got == pytest.approx(1.3, rel=2e-5)
     exact = distortion_of(jl.gaussian(1.3), jl.gaussian(1.0), 0.0)
     assert exact == pytest.approx(1.3, rel=1e-9)
+
+
+@pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+def test_distortion_refuses_a_non_finite_gain(gain):
+    with pytest.raises(ValueError, match="gain must be finite"):
+        distortion_of(jl.gaussian(1.0), jl.gaussian(1.0), gain)
 
 
 def test_distortion_consistent_with_mmse_field():

@@ -15,8 +15,7 @@ from jamlab.polyexpand import (GaussianMixtureFamily, GridTableFamily,
                                _match_moments, _mixture_table, _search_energy,
                                _TableEnergy, _unpack_mixture, build_basis,
                                expansion_coeffs, mmse_via_expansion,
-                               noise_from_estimator, probe_family,
-                               worst_noise_search)
+                               noise_from_estimator, worst_noise_search)
 
 
 def fu_model(source, noise, grid=None):
@@ -75,6 +74,21 @@ def test_order_cap_and_conditioning_gate():
         build_basis(m, 13)
     with pytest.raises(IllConditioned):
         build_basis(m, 12)
+
+
+@pytest.mark.parametrize("order", [2.5, -1, 4.0])
+def test_basis_order_must_be_an_integer_in_range(order):
+    m, _ = fu_model(jl.laplace(1.0), jl.gaussian(1.0))
+    with pytest.raises(ValueError, match="^order must be an integer in \\[0, 12\\]"):
+        build_basis(m, order)
+    with pytest.raises(ValueError, match="^order must be an integer"):
+        mmse_via_expansion(jl.laplace(1.0), jl.gaussian(1.0), order)
+
+
+def test_basis_order_may_be_a_numpy_integer():
+    m, _ = fu_model(jl.laplace(1.0), jl.gaussian(1.0))
+    assert np.array_equal(build_basis(m, np.int64(4)).values,
+                          build_basis(m, 4).values)
 
 
 def test_two_atom_measure_is_degenerate():
@@ -201,10 +215,21 @@ def test_rademacher_source_regression_baseline():
 
 
 def test_search_optimum_beats_random_probe():
-    family = GaussianMixtureFamily(3)
-    res = worst_noise_search(jl.rademacher_scaled(1.0), 0.5, 6, family, seed=1)
-    probes = probe_family(jl.rademacher_scaled(1.0), 0.5, family, 100, seed=42)
-    assert probes.min() >= res.objective - 1e-9
+    # 100 random mixtures at the budget, scored through the public API on one
+    # grid: none reaches the MMSE of the noise the search returns.  With c_0
+    # and c_1 fixed at a budget, a higher MMSE is a lower search objective.
+    source, budget, family = jl.rademacher_scaled(1.0), 0.5, GaussianMixtureFamily(3)
+    res = worst_noise_search(source, budget, 6, family, seed=1)
+    grid = jl.default_grid(source, source.scaled(math.sqrt(budget)),
+                           num_points=2048)
+    best = mmse_estimator(source, res.noise, grid).mmse
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        mixture = _unpack_mixture(rng.normal(0.0, 0.7, family.parameter_count),
+                                  family.k, budget, 2.0 * grid.dx)
+        if mixture is not None:
+            noise = jl.gaussian_mixture(*mixture)
+            assert mmse_estimator(source, noise, grid).mmse <= best + 1e-9
 
 
 def test_capped_mixture_search_regression_pin():
@@ -233,6 +258,37 @@ def test_mixture_family_is_capped_at_four_components():
         GaussianMixtureFamily(5)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
+def test_mixture_family_needs_an_integer_count(k):
+    with pytest.raises(ValueError, match=f"k={k!r}"):
+        GaussianMixtureFamily(k)
+
+
+@pytest.mark.parametrize("family", [GaussianMixtureFamily(2), GridTableFamily()],
+                         ids=["mixture", "table"])
+@pytest.mark.parametrize("argument, value", [
+    ("seed", -1), ("seed", 1.5), ("seed", None), ("maxfev", 0),
+    ("maxfev", 2.5), ("maxfev", math.nan), ("maxfev", math.inf)])
+def test_search_rejects_a_bad_seed_or_restart_budget_before_any_spectrum(
+        family, argument, value, monkeypatch):
+    def no_spectra(*args):
+        raise AssertionError("spectra built before the argument check")
+
+    monkeypatch.setattr(polyexpand, "_TableEnergy", no_spectra)
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer of at least"):
+        worst_noise_search(jl.gaussian(1.0), 1.0, 6, family, **{argument: value})
+
+
+def test_search_takes_numpy_integers():
+    # the same search as with Python integers, bit for bit
+    runs = [worst_noise_search(jl.laplace(1.0), 1.0, 6, GaussianMixtureFamily(kind(2)),
+                               seed=kind(3), maxfev=kind(40))
+            for kind in (int, np.int64, np.int32)]
+    for res in runs[1:]:
+        assert res.objective == runs[0].objective
+        assert res.iterations == runs[0].iterations
+
+
 @pytest.mark.parametrize("argument", ["maxfev"])
 def test_search_rejects_empty_restart_budget(argument):
     with pytest.raises(ValueError, match=argument):
@@ -245,9 +301,7 @@ def test_search_rejects_bad_noise_budget(budget):
     for search in (
             lambda: worst_noise_search(jl.gaussian(1.0), budget, 6),
             lambda: worst_noise_search(jl.gaussian(1.0), budget, 6,
-                                       GridTableFamily()),
-            lambda: probe_family(jl.gaussian(1.0), budget,
-                                 GaussianMixtureFamily(2), 3, seed=0)):
+                                       GridTableFamily())):
         with pytest.raises(ValueError, match="finite and positive"):
             search()
 
@@ -498,19 +552,9 @@ def test_grid_table_search_is_deterministic():
     assert runs[0].iterations == runs[1].iterations
 
 
-def test_grid_table_family_cannot_be_probed():
-    with pytest.raises(ValueError):
-        probe_family(jl.gaussian(1.0), 1.0, GridTableFamily(), 3, seed=0)
-
-
 def test_search_rejects_an_object_that_is_no_family():
     with pytest.raises(ValueError, match="unknown family 'mixture'"):
         worst_noise_search(jl.gaussian(1.0), 1.0, 6, "mixture")
-
-
-def test_probe_rejects_an_object_that_is_no_family():
-    with pytest.raises(ValueError, match="unknown family 'mixture'"):
-        probe_family(jl.gaussian(1.0), 1.0, "mixture", 3, seed=0)
 
 
 # -- estimator-to-noise recovery ---------------------------------------------------------
@@ -544,6 +588,14 @@ def test_kappa_two_gain_recovers_root():
 def test_zero_estimator_is_inconsistent():
     with pytest.raises(UnstableIntegration):
         noise_from_estimator(jl.gaussian(1.0), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 1.0, math.nan], [math.nan, 1.0],
+                                    [math.inf, 1.0], [0.0, -math.inf]],
+                         ids=["trailing-nan", "nan-offset", "inf-offset", "inf-slope"])
+def test_non_finite_estimator_coefficients_are_refused(coeffs):
+    with pytest.raises(ValueError, match="must be finite"):
+        noise_from_estimator(jl.gaussian(1.0), coeffs)
 
 
 def test_degree_cap():
