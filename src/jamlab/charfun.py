@@ -31,15 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionModel, tabulated
-from .errors import (ExcessImaginary, GridMismatch, GridTooNarrow,
-                     NonZeroMean, NotHermitian, ZeroCrossing)
+from .errors import (ExcessImaginary, GridMismatch, NotHermitian, ZeroCrossing,
+                     check_tails)
 from .grids import GridSpec, read_only_copy
 
 VALID = "valid"
 INVALID = "invalid"
 UNCHECKED = "unchecked"
 
-_MASS_GATE = 1e-10     # construction gate on out-of-grid probability mass
 _CF_ATOL = 1e-9        # F(0)=1 / Hermitian / |F|<=1 tolerances
 _NEG_FLOOR = -1e-6     # allowed negativity of the windowed inversion
 _POWER_FLOOR = 1e-12   # default |F| floor for fractional powers
@@ -180,15 +179,9 @@ def cf_of(dist: DistributionModel, grid: GridSpec) -> CharacteristicFunction:
 
     Analytic families use closed forms; tabulated models transform their
     table (exact FFT path when the grids coincide).  Raises ``GridTooNarrow``
-    when more than 1e-10 of the model's mass lies outside the grid and
-    ``NonZeroMean`` if the model drifted off the zero-mean convention.
+    when 1e-10 or more of the model's mass lies outside the grid.
     """
-    if abs(dist.mean()) > 1e-6 * max(dist.sigma, 1.0):
-        raise NonZeroMean("model mean is not zero")
-    if dist.tail_mass_outside(grid.half_width) >= _MASS_GATE:
-        raise GridTooNarrow(
-            f"mass outside [-{grid.half_width:g}, {grid.half_width:g}] "
-            f"exceeds {_MASS_GATE:g}")
+    check_tails(grid, dist)
     if dist.kind == "tabulated" and dist.grid == grid:
         vals = _density_to_cf_values(dist.table, grid)
     else:

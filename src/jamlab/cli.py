@@ -27,7 +27,7 @@ from . import __version__
 from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, laplace, rademacher_scaled,
                             tabulated, uniform)
-from .errors import ConfigError, IllConditioned, JamlabError
+from .errors import ConfigError, IllConditioned, JamlabError, check_tails
 from .gamesim import (MIN_TRIALS, CorrelatedJammer, bernoulli_exploit_check,
                       default_lhs_jammers, saddle_profile, simulate,
                       verify_lhs_inequality, verify_rhs_inequality)
@@ -218,11 +218,6 @@ def _derived(cfg: JammingGameConfig) -> dict:
             "linear_bound": cfg.linear_bound, "saddle_cost": cfg.saddle_cost}
 
 
-def derive_quantities(game: dict, base_dir: Path | None = None) -> dict:
-    """Recompute the manifest's derived block from its recorded inputs."""
-    return _derived(build_game(game, Path(base_dir or ".")))
-
-
 # -- tasks --------------------------------------------------------------------
 # Each returns (exit code, outputs, the grid it ran on, its CSV tables as
 # {kind: (header, columns)}, its sweep row as {column: value}); ``run`` writes
@@ -342,6 +337,7 @@ def _task_worst_noise(spec, cfg, strict_paper):
         "noise_components": [list(c) for c in res.noise.components],
     }
     grid = _grid_from(spec, lambda n: default_grid(res.noise, num_points=n))
+    check_tails(grid, res.noise)  # the written table must hold the noise
     return 0, outputs, grid, {"worst_noise_density": (
         ["x", "density"], [grid.x, res.noise.pdf_on(grid)])}, {
         k: outputs[k] for k in ("objective", "mmse_attained")}

@@ -119,7 +119,8 @@ class DistributionModel:
     ``(weight, mean, sigma)`` triples whose weighted mean is zero.
     ``table``/``grid`` are only set for tabulated densities;
     ``negativity_floor`` records the most negative pre-clip value seen when
-    the table came from a numerical inversion.
+    the table came from a numerical inversion.  A table whose mean exceeds
+    1e-6 sigma raises ``NonZeroMean`` here, however the model is built.
     """
 
     kind: str
@@ -132,6 +133,10 @@ class DistributionModel:
     def __post_init__(self):
         if not np.isfinite(self.variance) or self.variance <= 0:
             raise ValueError("variance must be finite and positive")
+        # transform-derived tables carry ~1e-7 asymmetry from the unpaired
+        # leftmost bin and ringing clips; only genuine offsets are rejected
+        if self.kind == TABULATED and abs(m := self.mean()) > 1e-6 * self.sigma:
+            raise NonZeroMean(f"tabulated mean {m:g} violates the zero-mean convention")
 
     # -- basic descriptors -------------------------------------------------
 
@@ -477,11 +482,6 @@ def tabulated(grid: GridSpec, values: np.ndarray) -> DistributionModel:
     vals = np.clip(values, 0.0, None)
     vals = vals / (vals.sum() * grid.dx)
     variance = float(np.sum(grid.x**2 * vals) * grid.dx)
-    m = float(np.sum(grid.x * vals) * grid.dx)
-    # transform-derived tables carry ~1e-7 asymmetry from the unpaired
-    # leftmost bin and ringing clips; only genuine offsets are rejected
-    if abs(m) > 1e-6 * math.sqrt(variance):
-        raise NonZeroMean(f"tabulated mean {m:g} violates the zero-mean convention")
     vals.flags.writeable = False
     return DistributionModel(TABULATED, variance, grid=grid, table=vals,
                              negativity_floor=floor)

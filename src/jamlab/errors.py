@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit, and its integer-argument check."""
+"""Exception types shared across the toolkit, and its integer-argument and
+tail-mass checks."""
 
 import numbers
+
+_MASS_GATE = 1e-10  # probability mass a model may leave outside its grid
 
 
 def check_integer(name: str, value, least: int, most: int | None = None) -> None:
@@ -10,6 +13,15 @@ def check_integer(name: str, value, least: int, most: int | None = None) -> None
             and (most is None or value <= most)):
         bound = f"of at least {least}" if most is None else f"in [{least}, {most}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def check_tails(grid, *models) -> None:
+    """``GridTooNarrow`` where a model leaves 1e-10 or more of its mass
+    outside the grid's [-L, L]."""
+    L = grid.half_width
+    for d in models:
+        if d.tail_mass_outside(L) >= _MASS_GATE:
+            raise GridTooNarrow(f"mass outside [-{L:g}, {L:g}] exceeds {_MASS_GATE:g}")
 
 
 class JamlabError(Exception):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .charfun import cf_of, cf_power, check_validity, density_from_cf
 from .distributions import DistributionModel, default_grid
-from .errors import GridTooNarrow
+from .errors import GridTooNarrow, check_tails
 from .grids import GridSpec, read_only_copy
 
 _DENSITY_FLOOR = 1e-12  # below this, h is extended by its nearest computed value
@@ -75,13 +75,6 @@ def convolve_tables(f: np.ndarray, g: np.ndarray, grid: GridSpec) -> np.ndarray:
     spectrum of f multiplies that of g, the operand order of
     ``scipy.signal.fftconvolve``, whose bits the tests hold this to."""
     return BayesRatio(f, grid.dx).convolve(g)
-
-
-def _check_tails(grid: GridSpec, *models: DistributionModel) -> None:
-    """GridTooNarrow where a model has 1e-10 or more of its mass off the grid."""
-    for d in models:
-        if d.tail_mass_outside(grid.half_width) >= 1e-10:
-            raise GridTooNarrow("component tail mass exceeds 1e-10 on this grid")
 
 
 def _check_output_mass(fu: np.ndarray, grid: GridSpec) -> None:
@@ -149,7 +142,7 @@ def _gated_ratio(source: DistributionModel, noise: DistributionModel,
                  grid: GridSpec | None):
     """(f_X, h, f_U, grid) between the tail and output-mass gates."""
     grid = grid or default_grid(source, noise)
-    _check_tails(grid, source, noise)
+    check_tails(grid, source, noise)
     fx = source.pdf_on(grid)
     h, fu = BayesRatio(np.stack([grid.x * fx, fx]), grid.dx).ratio(noise.pdf_on(grid))
     _check_output_mass(fu, grid)
@@ -209,7 +202,7 @@ def distortion_of(source: DistributionModel, noise: DistributionModel,
         raise ValueError(f"estimator gain must be finite, got {estimator!r}")
     if grid is None:
         grid = estimator.grid if curve else default_grid(source, noise)
-    _check_tails(grid, source, noise)
+    check_tails(grid, source, noise)
     n = grid.num_points
     if curve:
         if estimator.grid != grid:
@@ -233,10 +226,6 @@ def distortion_of(source: DistributionModel, noise: DistributionModel,
         err2 = (grid.x[i][:, None] - hv) ** 2
         total += float((fx[i] @ (err2 * fz[None, :]).sum(axis=1)))
     return total * grid.dx * grid.dx
-
-
-def best_linear_gain(sigma_x2: float, sigma_z2: float) -> float:
-    return sigma_x2 / (sigma_x2 + sigma_z2)
 
 
 def linear_benchmark(sigma_x2: float, sigma_z2: float) -> float:

@@ -18,14 +18,13 @@ depend on how trials are partitioned.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DistributionModel, default_grid, gaussian, laplace, uniform
-from .errors import InvalidProfile, PowerViolation
-from .estimation import BayesRatio, _check_tails, convolve_tables
+from .errors import InvalidProfile, PowerViolation, check_integer, check_tails
+from .estimation import BayesRatio, convolve_tables
 from .grids import GridSpec, read_only_copy
 from .matching import JammingGameConfig, synthesize_jammer
 
@@ -57,8 +56,14 @@ class RandomizedLinear:
 
 def _freeze_values(curve) -> None:
     """Store a curve's values as a read-only float copy matching its grid,
-    and the slope table its lookups read."""
+    and the slope table its lookups read.  A value that is not finite raises
+    ``InvalidProfile``."""
     values = read_only_copy(curve.values, float, curve.grid.num_points)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidProfile(f"{type(curve).__name__} values must be finite, "
+                             f"got {values[i]} at x = {curve.grid.x[i]:.6g}")
     object.__setattr__(curve, "values", values)
     object.__setattr__(curve, "_slope", curve.grid.slope(values))
 
@@ -99,6 +104,10 @@ class CorrelatedJammer:
 @dataclass(frozen=True)
 class LinearDecoder:
     gain: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.gain):
+            raise InvalidProfile(f"decoder gain must be finite, got {self.gain!r}")
 
 
 @dataclass(frozen=True)
@@ -179,7 +188,7 @@ def saddle_profile(cfg: JammingGameConfig,
 def _check_powers(cfg: JammingGameConfig, profile: StrategyProfile) -> None:
     enc = profile.encoder
     if isinstance(enc, DeterministicEncoder):
-        _check_tails(enc.grid, cfg.source)  # else the power misses the tails
+        check_tails(enc.grid, cfg.source)  # else the power misses the tails
         fx = cfg.source.pdf_on(enc.grid)
         power = float(np.sum(enc.values**2 * fx) * enc.grid.dx)
         if power > cfg.power_tx * (1 + _POWER_RTOL):
@@ -227,7 +236,7 @@ def _conditional_mean(cfg: JammingGameConfig, grid: GridSpec, phi: np.ndarray,
     cell that carries mass.  Raises ``GridTooNarrow`` where the source grid
     leaves 1e-10 or more of the source's mass off.
     """
-    _check_tails(grid, cfg.source)
+    check_tails(grid, cfg.source)
     c, residual = _jammer_parts(cfg, jam)
     noises = [cfg.channel_noise] + ([residual] if residual is not None else [])
     mass = cfg.source.pdf_on(grid) * grid.dx
@@ -274,16 +283,10 @@ def _rng(seed: int, component: int, chunk: int) -> np.random.Generator:
 def _check_counts(trials, seed, gamma_seed=None) -> None:
     """Raise ``ValueError`` for a ``trials`` that is not an integer of at
     least ``MIN_TRIALS``, or a seed that is not a non-negative integer."""
-    if not isinstance(trials, numbers.Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < MIN_TRIALS:
-        raise ValueError("at least 10^4 trials required")
-    seeds = {"seed": seed}
+    check_integer("trials", trials, MIN_TRIALS)
+    check_integer("seed", seed, 0)
     if gamma_seed is not None:
-        seeds["gamma_seed"] = gamma_seed
-    for name, value in seeds.items():
-        if not (isinstance(value, numbers.Integral) and value >= 0):
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        check_integer("gamma_seed", gamma_seed, 0)
 
 
 def simulate(cfg: JammingGameConfig, profile: StrategyProfile, trials: int,

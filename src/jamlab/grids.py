@@ -11,6 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import check_integer
+
 
 def read_only_copy(values, dtype=float, length: int | None = None) -> np.ndarray:
     """A read-only ``dtype`` copy of ``values``.  With ``length``, anything
@@ -37,8 +39,9 @@ class GridSpec:
         if not np.isfinite(self.half_width) or self.half_width <= 0:
             raise ValueError("half_width must be finite and positive")
         n = self.num_points
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError("num_points must be a power of two >= 64")
+        check_integer("num_points", n, 64)
+        if n & (n - 1):
+            raise ValueError(f"num_points must be a power of two, got {n!r}")
 
     @cached_property
     def dx(self) -> float:

@@ -26,7 +26,6 @@ approximate it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,9 +34,9 @@ from .charfun import cf_divide, cf_of, cf_power, check_validity
 from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
 from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
-                     UnstableIntegration, check_integer)
+                     UnstableIntegration, check_integer, check_tails)
 from .estimation import (_DENSITY_FLOOR, BayesRatio, _check_output_mass,
-                         _check_tails, _curve_of, _gated_ratio)
+                         _curve_of, _gated_ratio)
 from .grids import GridSpec, read_only_copy
 
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
@@ -169,7 +168,7 @@ def expansion_coeffs(source: DistributionModel, noise: DistributionModel,
     h, fu = BayesRatio(np.stack([grid.x * fx, fx]), grid.dx).ratio(noise.pdf_on(grid))
     if float(np.max(np.abs(fu - basis.measure.table))) > 1e-8:
         raise BasisMismatch("basis measure differs from the pair's output density")
-    _check_tails(grid, source, noise)
+    check_tails(grid, source, noise)
     _check_output_mass(fu, grid)
     return _coeffs_of(fx, h, fu, grid, basis)
 
@@ -205,9 +204,7 @@ class GaussianMixtureFamily:
     k: int = 3
 
     def __post_init__(self):
-        if not (isinstance(self.k, numbers.Integral) and 1 <= self.k <= 4):
-            raise ValueError(
-                f"mixture needs 1 <= k <= 4 components, k an integer, got k={self.k!r}")
+        check_integer("k", self.k, 1, 4)
 
     @property
     def parameter_count(self) -> int:

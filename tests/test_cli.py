@@ -1,12 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jamlab as jl
 from jamlab import gamesim
-from jamlab.cli import _write_csv, build_game, derive_quantities, load_spec, main
+from jamlab.cli import _derived, _write_csv, build_game, load_spec, main
 from jamlab.errors import ConfigError
 from jamlab.gamesim import (default_lhs_jammers, saddle_profile, simulate,
                             verify_lhs_inequality)
@@ -159,19 +160,35 @@ def test_grid_too_narrow_is_an_error_line(tmp_path, capsys, task):
     assert err.startswith("error: ") and "1e-10" in err, err
 
 
+@pytest.mark.parametrize("task", [
+    {"task": "match"}, {"task": "mmse", "order": 4},
+    {"task": "worst_noise", "seed": 1, "mixture_components": 1}],
+    ids=["match", "mmse", "worst_noise"])
+def test_a_grid_too_narrow_for_an_input_gives_one_line_for_every_task(
+        tmp_path, capsys, task):
+    """Half-width 0.5 leaves 62% of a unit Gaussian off the grid.  Each task
+    exits 1 with the tail gate's line and writes nothing; ``worst_noise``
+    searches on its own grid, so the gate is on the grid of its CSV."""
+    path = write_spec(tmp_path, grid={"half_width": 0.5, "num_points": 256}, **task)
+    out = tmp_path / "r"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: mass outside [-0.5, 0.5] exceeds 1e-10\n"
+    assert not out.exists()
+
+
 def test_output_density_off_the_grid_is_grid_too_narrow(tmp_path, capsys):
     """Each uniform density fits on half-width 2, their sum does not: f_U
     loses 18% of its mass.  Every MMSE path says so, and the CLI does not
     blame the order."""
-    import dataclasses
+    from types import SimpleNamespace
     from jamlab.errors import GridTooNarrow
     from jamlab.estimation import output_density
     from jamlab.polyexpand import build_basis, expansion_coeffs
     src, noise, g = jl.uniform(1.0), jl.uniform(1.0), jl.GridSpec(2.0, 1024)
     fu = output_density(src, noise, g)
-    # a basis on the pair's own f_U, which ``tabulated`` rejects for its mass
-    measure = dataclasses.replace(jl.gaussian(1.0), kind="tabulated", grid=g,
-                                  table=fu)
+    # a basis on the pair's own f_U, which no table model holds: it lacks
+    # mass, and its cut tails give it a mean of -9.5e-4
+    measure = SimpleNamespace(kind="tabulated", grid=g, table=fu)
     for call in (lambda: jl.mmse_estimator(src, noise, g),
                  lambda: jl.mmse_via_expansion(src, noise, 4, g),
                  lambda: expansion_coeffs(src, noise, build_basis(measure, 4))):
@@ -364,7 +381,7 @@ def test_manifest_round_trip(tmp_path):
     out = tmp_path / "results"
     main(["run", str(path), "--out", str(out)])
     manifest = json.loads((out / "unit-gauss_result.json").read_text())
-    redone = derive_quantities(manifest["inputs"]["game"])
+    redone = _derived(build_game(manifest["inputs"]["game"], Path(".")))
     for key, value in redone.items():
         assert manifest["derived"][key] == value, key
 

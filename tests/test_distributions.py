@@ -57,6 +57,15 @@ def test_tabulated_rejects_shifted_mean():
         jl.tabulated(g, f)
 
 
+def test_a_table_model_built_directly_is_zero_mean():
+    # the zero-mean check runs when any table model is built, not only in
+    # ``tabulated``, so the CF and estimation layers need not repeat it
+    g = jl.GridSpec(8.0, 256)
+    f = jl.gaussian(1.0).pdf_at(g.x - 0.5)
+    with pytest.raises(NonZeroMean, match="^tabulated mean 0.5 violates"):
+        jl.DistributionModel("tabulated", 1.25, grid=g, table=f / (f.sum() * g.dx))
+
+
 def test_tabulated_records_the_smaller_of_its_minimum_and_zero():
     g = jl.GridSpec(12.0, 256)
     f = jl.gaussian(1.0).pdf_on(g)

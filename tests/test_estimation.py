@@ -12,7 +12,7 @@ from scipy.signal import fftconvolve
 
 import jamlab as jl
 from jamlab.errors import GridTooNarrow
-from jamlab.estimation import (BayesRatio, best_linear_gain, convolve_tables,
+from jamlab.estimation import (BayesRatio, convolve_tables,
                                distortion_of, linear_benchmark,
                                matched_source_check, mmse_estimator,
                                output_density)
@@ -71,6 +71,16 @@ def test_uniform_gaussian_vs_dense_oracle():
 def test_narrow_grid_raises():
     with pytest.raises(GridTooNarrow):
         mmse_estimator(jl.laplace(1.0), jl.gaussian(1.0), jl.GridSpec(10.0, 1024))
+
+
+def test_the_tail_gates_give_one_message():
+    # one gate, so the CF and estimator paths refuse a grid in one wording
+    g, src, noise = jl.GridSpec(0.5, 256), jl.gaussian(1.0), jl.gaussian(1.0)
+    for call in (lambda: jl.cf_of(src, g), lambda: mmse_estimator(src, noise, g),
+                 lambda: distortion_of(src, noise, 0.5, g)):
+        with pytest.raises(GridTooNarrow,
+                           match=r"^mass outside \[-0.5, 0.5\] exceeds 1e-10$"):
+            call()
 
 
 def test_estimator_tail_extension_is_flat():
@@ -163,7 +173,7 @@ def test_distortion_consistent_with_mmse_field():
 
 def test_best_linear_gain_is_optimal_among_gains():
     source, noise = jl.laplace(1.0), jl.uniform(0.7)
-    g0 = best_linear_gain(1.0, 0.7)
+    g0 = 1.0 / (1.0 + 0.7)
     d0 = distortion_of(source, noise, g0)
     assert d0 == pytest.approx(linear_benchmark(1.0, 0.7), rel=5e-5)
     for g in (0.8 * g0, 1.2 * g0):
@@ -177,8 +187,8 @@ def test_best_linear_gain_is_optimal_among_gains():
 ])
 def test_second_moment_benchmark_is_shape_free(source, noise):
     # best linear distortion depends only on the two variances
-    got = distortion_of(source, noise, best_linear_gain(source.variance,
-                                                        noise.variance))
+    got = distortion_of(source, noise, source.variance
+                        / (source.variance + noise.variance))
     assert got == pytest.approx(
         linear_benchmark(source.variance, noise.variance), rel=5e-5)
 
@@ -191,7 +201,7 @@ def test_second_moment_benchmark_is_shape_free(source, noise):
 def test_conditional_mean_beats_linear(source, noise):
     curve = mmse_estimator(source, noise)
     lin = distortion_of(source, noise,
-                        best_linear_gain(source.variance, noise.variance),
+                        source.variance / (source.variance + noise.variance),
                         grid=curve.grid)
     assert curve.mmse <= lin + 1e-9
 

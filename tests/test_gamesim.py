@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_chunk_loop_branches_pinned(case, cost, se):
 
 
 def test_trial_floor_enforced():
-    with pytest.raises(ValueError, match="at least 10\\^4 trials required"):
+    with pytest.raises(ValueError, match="^trials must be an integer of at least 10000, got 5000$"):
         simulate(UNIT_CFG, saddle_profile(UNIT_CFG), 5_000, seed=1)
 
 
@@ -157,7 +158,9 @@ def test_simulate_checks_trials_and_seeds_before_drawing(monkeypatch, kw, name):
 
     monkeypatch.setattr(gamesim, "_rng", no_draws)
     args = {"trials": 10_000, "seed": 1, **kw}
-    with pytest.raises(ValueError, match=f"^{name} must be an? (non-negative )?integer, got "):
+    least = 10_000 if name == "trials" else 0
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{name} must be an integer of at least {least}, got {kw[name]!r}")):
         simulate(UNIT_CFG, saddle_profile(UNIT_CFG), **args)
 
 
@@ -187,7 +190,9 @@ def test_harnesses_check_trials_and_seed_first(monkeypatch, harness, trials,
     monkeypatch.setattr(gamesim, "synthesize_jammer", no_work)
     monkeypatch.setattr(gamesim, "_per_sign_mmse_tables", no_work)
     monkeypatch.setattr(gamesim, "_rng", no_work)
-    with pytest.raises(ValueError, match=f"^{name} must be an? (non-negative )?integer, got "):
+    bound, value = (10_000, trials) if name == "trials" else (0, seed)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{name} must be an integer of at least {bound}, got {value!r}")):
         harness(trials, seed)
 
 
@@ -274,6 +279,30 @@ def test_curve_values_must_match_grid(cls, size):
     g = jl.GridSpec(half_width=1.0, num_points=64)
     with pytest.raises(ValueError, match="shape must match the grid"):
         cls(g, np.zeros(size))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_linear_decoder_refuses_a_gain_that_is_not_finite(bad):
+    # no power check reads the decoder, so a nan gain would give a nan cost
+    with pytest.raises(InvalidProfile, match=f"^decoder gain must be finite, got {bad}$"):
+        simulate(UNIT_CFG, StrategyProfile(RandomizedLinear(0.5), IndependentNoise(
+            jl.gaussian(1.0)), LinearDecoder(bad)), 10_000, seed=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("curve, profile", [
+    (DeterministicEncoder, lambda c: StrategyProfile(
+        c, IndependentNoise(jl.gaussian(1.0)), LinearDecoder(0.5))),
+    (CurveDecoder, lambda c: StrategyProfile(
+        RandomizedLinear(0.5), IndependentNoise(jl.gaussian(1.0)), c)),
+], ids=["encoder", "decoder"])
+def test_curves_refuse_values_that_are_not_finite(curve, profile, bad):
+    # the encoder's power check reads nan > budget as False
+    g = jl.default_grid(UNIT_CFG.source)
+    with pytest.raises(InvalidProfile, match="^" + re.escape(
+            f"{curve.__name__} values must be finite, got {bad} at x = {g.x[0]:.6g}")):
+        simulate(UNIT_CFG, profile(curve(g, np.full(g.num_points, bad))),
+                 10_000, seed=1)
 
 
 def test_unknown_decoder_is_refused_before_sampling(monkeypatch):

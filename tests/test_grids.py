@@ -33,6 +33,18 @@ def test_rejects_bad_point_counts(n):
         GridSpec(half_width=1.0, num_points=n)
 
 
+@pytest.mark.parametrize("n", [64.0, 4096.0, "64", None])
+def test_rejects_a_point_count_that_is_no_integer(n):
+    # refused by name before the power-of-two test, which needs an integer
+    with pytest.raises(ValueError, match=f"^num_points must be an integer of at "
+                                         f"least 64, got {n!r}$"):
+        GridSpec(half_width=1.0, num_points=n)
+
+
+def test_takes_a_numpy_point_count():
+    assert GridSpec(1.0, np.int64(256)).x.tobytes() == GridSpec(1.0, 256).x.tobytes()
+
+
 def test_rejects_bad_half_width():
     with pytest.raises(ValueError):
         GridSpec(half_width=0.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy import fft as sfft
 
 import jamlab as jl
 from jamlab import polyexpand
-from jamlab.errors import (BasisMismatch, IllConditioned,
+from jamlab.errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
                            UnstableIntegration)
 from jamlab.estimation import (_DENSITY_FLOOR, _floored_ratio,
                                convolve_tables, linear_benchmark,
@@ -248,19 +249,22 @@ def test_family_parameter_cap():
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_mixture_family_needs_a_component(k):
-    with pytest.raises(ValueError, match=f"k={k}"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"k must be an integer in [1, 4], got {k}")):
         GaussianMixtureFamily(k)
 
 
 def test_mixture_family_is_capped_at_four_components():
     assert GaussianMixtureFamily(4).parameter_count == 11
-    with pytest.raises(ValueError, match="k=5"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "k must be an integer in [1, 4], got 5")):
         GaussianMixtureFamily(5)
 
 
 @pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
 def test_mixture_family_needs_an_integer_count(k):
-    with pytest.raises(ValueError, match=f"k={k!r}"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"k must be an integer in [1, 4], got {k!r}")):
         GaussianMixtureFamily(k)
 
 
@@ -304,6 +308,15 @@ def test_search_rejects_bad_noise_budget(budget):
                                        GridTableFamily())):
         with pytest.raises(ValueError, match="finite and positive"):
             search()
+
+
+def test_a_family_with_no_usable_member_is_infeasible():
+    # at budget 1e-8 a one-component mixture has sigma 1e-4, below half the
+    # sigma floor of two grid steps (0.31 here), so every start scores inf
+    with pytest.raises(InfeasibleFamily,
+                       match="^no parameter vector produced a usable density$"):
+        worst_noise_search(jl.laplace(1.0), 1e-8, 6, GaussianMixtureFamily(1),
+                           grid=jl.GridSpec(20.0, 256), maxfev=50)
 
 
 def _reference_tail(fx, fz, grid):
