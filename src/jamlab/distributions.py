@@ -120,7 +120,8 @@ class DistributionModel:
     ``table``/``grid`` are only set for tabulated densities;
     ``negativity_floor`` records the most negative pre-clip value seen when
     the table came from a numerical inversion.  A table whose mean exceeds
-    1e-6 sigma raises ``NonZeroMean`` here, however the model is built.
+    1e-6 sigma, or a mixture whose mean exceeds 1e-9 sigma, raises
+    ``NonZeroMean`` here, however the model is built.
     """
 
     kind: str
@@ -137,6 +138,8 @@ class DistributionModel:
         # leftmost bin and ringing clips; only genuine offsets are rejected
         if self.kind == TABULATED and abs(m := self.mean()) > 1e-6 * self.sigma:
             raise NonZeroMean(f"tabulated mean {m:g} violates the zero-mean convention")
+        if self.kind == GAUSSIAN_MIXTURE and abs(m := self.mean()) > _MEAN_RTOL * self.sigma:
+            raise NonZeroMean(f"mixture mean {m:g} violates the zero-mean convention")
 
     # -- basic descriptors -------------------------------------------------
 
@@ -147,6 +150,9 @@ class DistributionModel:
     def mean(self) -> float:
         if self.kind == TABULATED:
             return float(np.sum(self.grid.x * self.table) * self.grid.dx)
+        if self.kind == GAUSSIAN_MIXTURE:
+            w, mu, _ = np.array(self.components).T
+            return float(np.sum(w * mu))
         return 0.0
 
     # -- pointwise density and CDF ----------------------------------------
@@ -453,9 +459,6 @@ def gaussian_mixture(weights, means, sigmas) -> DistributionModel:
         raise ValueError("weights and sigmas must be positive")
     weights = weights / weights.sum()
     variance = float(np.sum(weights * (means**2 + sigmas**2)))
-    m = float(np.sum(weights * means))
-    if abs(m) > _MEAN_RTOL * math.sqrt(variance):
-        raise NonZeroMean(f"mixture mean {m:g} violates the zero-mean convention")
     comps = tuple((float(w), float(mu), float(s))
                   for w, mu, s in zip(weights, means, sigmas))
     return DistributionModel(GAUSSIAN_MIXTURE, variance, components=comps)

@@ -444,14 +444,94 @@ def _search_energy(source: DistributionModel, noise_budget: float,
     return grid, _TableEnergy(source.pdf_on(grid), grid)
 
 
+class _EvaluationCap(Exception):
+    """Raised by ``_nelder_mead``'s counted objective past ``maxfev``."""
+
+
+def _nelder_mead(fun, x0, maxfev: int, xatol: float, fatol: float):
+    """Minimize ``fun`` from ``x0`` by the simplex method of Nelder & Mead
+    (Computer Journal 7, 1965); returns (x, fun(x), evaluations, converged).
+
+    Step for step SciPy 1.17.1's ``minimize(method="Nelder-Mead")`` with its
+    standard coefficients (reflect 1, expand 2, contract 0.5, shrink 0.5) and
+    no bounds, so its iterates keep their bits: the same initial simplex
+    (1.05 x_k, or 0.00025 where x_k is 0), the convergence test before each
+    step (every vertex within ``xatol`` of the best, every value within
+    ``fatol``), the same update expressions and the same argsort re-ordering.
+    The evaluation past ``maxfev`` aborts the current step, and a search
+    that used all ``maxfev`` evaluations has not converged.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _EvaluationCap
+        nfev += 1
+        return fun(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.vstack([x0] * (n + 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _EvaluationCap:
+        pass
+    # SciPy sorts here twice; argsort is not stable, so the second sort may
+    # reorder tied vertices
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    while nfev < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - 1 * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _EvaluationCap:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev, nfev < maxfev
+
+
 def worst_noise_search(source: DistributionModel, noise_budget: float,
                        order: int, family=GaussianMixtureFamily(3), *,
                        grid: GridSpec | None = None, seed: int = 0,
                        maxfev: int = 2000) -> NoiseSearchResult:
     """Search for the MMSE-maximizing noise at fixed power.
 
-    ``GaussianMixtureFamily``: Nelder-Mead simplex with jittered restarts;
-    every iterate is projected to zero mean and the exact variance budget.
+    ``GaussianMixtureFamily``: jamlab's own Nelder-Mead simplex
+    (``_nelder_mead``, step for step SciPy's) with jittered restarts; every
+    iterate is projected to zero mean and the exact variance budget.
     ``GridTableFamily``: the convex problem over density tables, solved by
     ``_grid_table_search``; ``iterations`` then counts its Newton steps.  The
     objective is the full nonlinear coefficient energy of the induced optimal
@@ -472,7 +552,6 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
         return NoiseSearchResult(noise=tabulated(grid, fz), objective=tail,
                                  mmse_attained=mmse, iterations=steps,
                                  converged=converged)
-    from scipy.optimize import minimize  # loaded only when a mixture search runs
 
     def objective(params):
         """Tail energy of the mixture ``params`` unpacks to, or inf for none."""
@@ -484,13 +563,12 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     total_evals, converged = 0, False
     for _ in range(_MIXTURE_RESTARTS):
         x0 = rng.normal(0.0, 0.7, family.parameter_count)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options=dict(maxfev=maxfev, fatol=1e-14, xatol=1e-7))
-        total_evals += res.nfev
-        if np.isfinite(res.fun) and (best is None or res.fun < best):
-            best = float(res.fun)
-            best_x = res.x
-            converged = bool(res.success)
+        x, fx, nfev, done = _nelder_mead(objective, x0, maxfev, xatol=1e-7, fatol=1e-14)
+        total_evals += nfev
+        if np.isfinite(fx) and (best is None or fx < best):
+            best = float(fx)
+            best_x = x
+            converged = done
     if best is None or not np.isfinite(best):
         raise InfeasibleFamily("no parameter vector produced a usable density")
 

@@ -32,8 +32,15 @@ def test_variance_matches_parameters(name, v):
 
 
 def test_mixture_must_be_zero_mean():
-    with pytest.raises(NonZeroMean):
+    with pytest.raises(NonZeroMean, match="^mixture mean 0.75 violates"):
         jl.gaussian_mixture([0.5, 0.5], [1.0, 0.5], [1.0, 1.0])
+
+
+def test_a_mixture_built_directly_is_zero_mean():
+    # the rule runs when any mixture model is built, so one built without
+    # ``gaussian_mixture`` cannot report a mean of 0 it does not have
+    with pytest.raises(NonZeroMean, match="^mixture mean 0.5 violates"):
+        jl.DistributionModel("gaussian_mixture", 1.0, components=((1.0, 0.5, 0.866),))
 
 
 def test_mixture_variance_bookkeeping():

@@ -233,14 +233,26 @@ def test_twice_the_grid_is_the_fast_convolution_length(n):
     assert size == sfft.next_fast_len(2 * n - 1, real=True)
 
 
-def test_import_loads_no_scipy_signal():
-    # nor any other SciPy module: scipy.optimize is imported only by a
-    # mixture search, and numpy and the standard library do the rest
+def _scipy_modules_after(code):
+    """The SciPy modules loaded in a fresh interpreter after ``code`` runs."""
     src = str(Path(jl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    code = ("import sys, jamlab, jamlab.cli; print([m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code += ("\nimport sys; print([m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')])")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_loads_no_scipy_signal():
+    # nor any other SciPy module: numpy and the standard library do every
+    # transform, quantile and search
+    assert _scipy_modules_after("import jamlab, jamlab.cli") == "[]"
+
+
+def test_mixture_search_loads_no_scipy():
+    # the Gaussian-mixture search runs jamlab's own Nelder-Mead simplex
+    code = ("import jamlab as jl\n"
+            "jl.worst_noise_search(jl.laplace(1), 1, 6, "
+            "jl.GaussianMixtureFamily(2), maxfev=50)")
+    assert _scipy_modules_after(code) == "[]"

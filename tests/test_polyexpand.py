@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from scipy import fft as sfft
+from scipy.optimize import minimize
 
 import jamlab as jl
 from jamlab import polyexpand
@@ -13,8 +14,9 @@ from jamlab.estimation import (_DENSITY_FLOOR, _floored_ratio,
                                convolve_tables, linear_benchmark,
                                mmse_estimator, output_density)
 from jamlab.polyexpand import (GaussianMixtureFamily, GridTableFamily,
-                               _match_moments, _mixture_table, _search_energy,
-                               _TableEnergy, _unpack_mixture, build_basis,
+                               _match_moments, _mixture_table, _nelder_mead,
+                               _search_energy, _TableEnergy, _unpack_mixture,
+                               build_basis,
                                expansion_coeffs, mmse_via_expansion,
                                noise_from_estimator, worst_noise_search)
 
@@ -240,6 +242,85 @@ def test_capped_mixture_search_regression_pin():
     assert res.objective == pytest.approx(0.00041810979166923, rel=1e-12)
     assert res.mmse_attained == pytest.approx(0.49958947491598016, rel=1e-12)
     assert res.iterations == 1500
+
+
+def _simplex_runs(fun, x0, maxfev, xatol, fatol):
+    """``_nelder_mead`` and SciPy's Nelder-Mead from the same start, checked
+    to be bit for bit the same; returns the points and values evaluated."""
+    logs = ([], [])
+
+    def logged(log):
+        def f(x):
+            log.append((x.tobytes(), fun(x)))
+            return log[-1][1]
+        return f
+
+    x, fx, nfev, converged = _nelder_mead(logged(logs[0]), x0, maxfev, xatol, fatol)
+    res = minimize(logged(logs[1]), x0, method="Nelder-Mead",
+                   options=dict(maxfev=maxfev, xatol=xatol, fatol=fatol))
+    assert logs[0] == logs[1]
+    assert x.tobytes() == res.x.tobytes()
+    assert np.float64(fx).tobytes() == np.float64(res.fun).tobytes()
+    assert (nfev, converged) == (res.nfev, res.success)
+    return [np.frombuffer(b) for b, _ in logs[0]], [v for _, v in logs[0]]
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1]**2)**2 + (1.0 - x[:-1])**2))
+
+
+@pytest.fixture(scope="module")
+def capped_mixture_objective():
+    """The first restart of the benchmark's capped Laplace search."""
+    grid, energy = _search_energy(jl.laplace(1.0), 1.0, None)
+
+    def objective(params):
+        got = _unpack_mixture(params, 3, 1.0, 2.0 * grid.dx)
+        return float("inf") if got is None else energy.tail(_mixture_table(*got, grid))[0]
+    return objective, np.random.default_rng(1).normal(0.0, 0.7, 8)
+
+
+def test_simplex_is_scipys_on_the_capped_mixture_search(capped_mixture_objective):
+    fun, x0 = capped_mixture_objective
+    _, values = _simplex_runs(fun, x0, 300, xatol=1e-7, fatol=1e-14)
+    assert len(values) == 300
+
+
+def test_simplex_is_scipys_when_the_cap_falls_in_the_initial_simplex(
+        capped_mixture_objective):
+    fun, x0 = capped_mixture_objective
+    _, values = _simplex_runs(fun, x0, 5, xatol=1e-7, fatol=1e-14)
+    assert len(values) == 5
+
+
+def test_simplex_is_scipys_when_it_stops_on_the_tolerances():
+    # a zero coordinate takes the 0.00025 step of the initial simplex
+    def fun(x):
+        return float(np.sum([1.0, 10.0, 100.0] * (x - [1.0, -2.0, 0.5])**2))
+    _, values = _simplex_runs(fun, np.array([0.0, 0.3, 0.0]), 2000,
+                              xatol=1e-6, fatol=1e-10)
+    assert len(values) < 2000
+
+
+def test_simplex_is_scipys_through_shrink_steps():
+    points, values = _simplex_runs(_rosenbrock, np.array([-2.9, 2.2, 2.9, 2.7]),
+                                   3000, xatol=1e-8, fatol=1e-8)
+    # a shrink evaluates b + 0.5 (v - b), for b the best vertex and v another
+    shrunk = 0
+    for i in range(1, len(points)):
+        b = points[int(np.argmin(values[:i]))]
+        shrunk += bool(np.any(np.all(b + 0.5 * (np.array(points[:i]) - b) == points[i],
+                                     axis=1)))
+    assert shrunk >= 4  # at least one shrink of the 4 non-best vertices
+    assert len(values) < 3000
+
+
+def test_simplex_is_scipys_where_the_objective_is_inf():
+    def fun(x):
+        return float("inf") if np.any(x < 0.0) else _rosenbrock(x)
+    _, values = _simplex_runs(fun, np.array([0.05, 1.5, 0.02]), 2000,
+                              xatol=1e-8, fatol=1e-8)
+    assert np.isinf(values).any()
 
 
 def test_family_parameter_cap():
