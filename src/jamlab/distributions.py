@@ -182,8 +182,10 @@ class DistributionModel:
         if self.kind == GAUSSIAN:
             return _gauss_cdf(x, self.variance)
         if self.kind == LAPLACE:
-            b = self.sigma / math.sqrt(2.0)
-            return np.where(x < 0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
+            # -|x| / b is x / b left of 0 and -x / b right of it, and exp
+            # of it cannot overflow on the side np.where drops
+            tail = 0.5 * np.exp(-np.abs(x) / (self.sigma / math.sqrt(2.0)))
+            return np.where(x < 0, tail, 1.0 - tail)
         if self.kind == UNIFORM:
             a = math.sqrt(3.0 * self.variance)
             return np.clip((x + a) / (2.0 * a), 0.0, 1.0)

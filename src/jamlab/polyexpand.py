@@ -33,8 +33,9 @@ import numpy as np
 from .charfun import cf_divide, cf_of, cf_power, check_validity
 from .distributions import (DistributionModel, default_grid, gaussian,
                             gaussian_mixture, tabulated)
-from .errors import (BasisMismatch, IllConditioned, InfeasibleFamily,
-                     UnstableIntegration, check_integer, check_tails)
+from .errors import (BasisMismatch, GridTooNarrow, IllConditioned,
+                     InfeasibleFamily, UnstableIntegration, check_integer,
+                     check_tails)
 from .estimation import (_DENSITY_FLOOR, BayesRatio, _check_output_mass,
                          _curve_of, _gated_ratio)
 from .grids import GridSpec, read_only_copy
@@ -49,7 +50,12 @@ _START_FLOOR = 1e-12     # keeps the Gaussian start positive, same units
 _NEWTON_CAP = 300        # Newton steps per barrier parameter
 _CG_CAP = 300            # conjugate-gradient steps per Newton step
 _CG_MODEL_TOL = 0.5      # Nash-Sofer quadratic-model stopping constant
-_MIXTURE_RESTARTS = 5    # jittered Nelder-Mead starts of the mixture search
+_MIXTURE_RESTARTS = 5    # seeded starts of the mixture search
+_WOLFE_DECREASE = 1e-4   # sufficient-decrease constant of the line search
+_WOLFE_CURVATURE = 0.9   # curvature constant of the line search
+_QN_FTOL = 1e-12         # a step lowering f by no more than this ends the search
+_QN_GTOL = 1e-12         # and so does a gradient no larger than this
+_LINE_SEARCH_CAP = 20    # evaluations per line search
 
 
 # -- orthonormal basis --------------------------------------------------------
@@ -200,7 +206,7 @@ def mmse_via_expansion(source: DistributionModel, noise: DistributionModel,
 @dataclass(frozen=True)
 class GaussianMixtureFamily:
     """Zero-mean k-component Gaussian mixture; 3k-1 free parameters, at most
-    11 (k <= 4) for the simplex search."""
+    11 (k <= 4) for the dense quasi-Newton search."""
     k: int = 3
 
     def __post_init__(self):
@@ -231,30 +237,73 @@ class NoiseSearchResult:
     converged: bool
 
 
-def _unpack_mixture(params: np.ndarray, k: int, budget: float, sigma_floor: float):
+def _mixture_parts(params: np.ndarray, k: int, budget: float, sigma_floor: float):
+    """(weights, means, sigmas, c, t, s) of the parameter map, or None where
+    it has no mixture.  Component i has mean s c_i, with c the centred means,
+    and variance floor^2 + s^2 t_i^2; s puts the variance at ``budget``."""
     logits = np.concatenate([params[:k - 1], [0.0]])
     wts = np.exp(logits - logits.max())
     wts = wts / wts.sum()
-    mu = params[k - 1:2 * k - 1].copy()
-    sg = np.exp(np.clip(params[2 * k - 1:3 * k - 1], -14.0, 8.0))
-    mu = mu - float(wts @ mu)
-    sg = np.maximum(sg, sigma_floor)
-    var = float(wts @ (mu**2 + sg**2))
-    s = math.sqrt(budget / var)
-    mu, sg = mu * s, np.maximum(sg * s, sigma_floor)
-    var = float(wts @ (mu**2 + sg**2))
-    mu, sg = mu * math.sqrt(budget / var), sg * math.sqrt(budget / var)
-    if np.any(sg < 0.5 * sigma_floor):
+    c = params[k - 1:2 * k - 1] - float(wts @ params[k - 1:2 * k - 1])
+    t = params[2 * k - 1:3 * k - 1]
+    var = float(wts @ (c * c + t * t))
+    room = budget - sigma_floor**2
+    if not (room > 0.0 and 0.0 < var < math.inf and np.all(wts > 0.0)):
         return None
-    return wts, mu, sg
+    s = math.sqrt(room / var)
+    return wts, s * c, np.sqrt(sigma_floor**2 + (s * t)**2), c, t, s
+
+
+def _unpack_mixture(params: np.ndarray, k: int, budget: float, sigma_floor: float):
+    """(weights, means, sigmas) of the zero-mean mixture at variance ``budget``
+    that ``params`` (k - 1 weight logits, k means, k widths) stands for, or
+    None.  The map is smooth, and every sigma is at least ``sigma_floor``."""
+    parts = _mixture_parts(params, k, budget, sigma_floor)
+    return None if parts is None else parts[:3]
+
+
+def _component_densities(mu, sg, grid: GridSpec):
+    """(z, rows): the grid standardized by each component, and its density."""
+    z = (grid.x - mu[:, None]) / sg[:, None]
+    return z, np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sg[:, None])
 
 
 def _mixture_table(wts, mu, sg, grid: GridSpec) -> np.ndarray:
-    out = np.zeros(grid.num_points)
-    for w_i, m_i, s_i in zip(wts, mu, sg):
-        out += w_i * np.exp(-(grid.x - m_i)**2 / (2 * s_i**2)) \
-            / math.sqrt(2 * math.pi * s_i**2)
-    return out
+    return wts @ _component_densities(mu, sg, grid)[1]
+
+
+def _mixture_objective(params, k: int, budget: float, energy, grid: GridSpec):
+    """(tail energy, its gradient in ``params``) of the mixture ``params``
+    unpacks to; (inf, None) where it unpacks to none, or to one that leaves
+    1e-10 or more of its mass off the grid (``check_tails``).  The gradient
+    runs from ``_TableEnergy.tail_gradient`` through the component densities
+    and back through the parameter map."""
+    parts = _mixture_parts(params, k, budget, 2.0 * grid.dx)
+    if parts is None:
+        return math.inf, None
+    wts, mu, sg, c, t, s = parts
+    try:
+        check_tails(grid, gaussian_mixture(wts, mu, sg))
+    except GridTooNarrow:
+        return math.inf, None
+    z, rows = _component_densities(mu, sg, grid)
+    tail, g_table = energy.tail_gradient(wts @ rows)
+    zrows = z * rows
+    g_w, g_z, g_zz = rows @ g_table, zrows @ g_table, (z * zrows) @ g_table
+    g_mu, g_sg = wts * g_z / sg, wts * (g_zz - g_w) / sg
+    # back through sigma = sqrt(floor^2 + s^2 t^2), mu = s c and
+    # s = sqrt(room / var), var = w . spread
+    spread = c * c + t * t
+    g_s = float(g_mu @ c) + s * float(g_sg @ (t * t / sg))
+    g_var = -0.5 * g_s * s / float(wts @ spread)
+    g_c = s * g_mu + 2.0 * g_var * wts * c
+    g_t = s * s * g_sg * t / sg + 2.0 * g_var * wts * t
+    g_w = g_w + g_var * spread
+    # back through c = m - w . m and the softmax weights
+    g_m = g_c - wts * g_c.sum()
+    g_w = g_w - params[k - 1:2 * k - 1] * g_c.sum()
+    g_logits = wts * (g_w - float(wts @ g_w))
+    return tail, np.concatenate([g_logits[:k - 1], g_m, g_t])
 
 
 class _TableEnergy(BayesRatio):
@@ -291,15 +340,36 @@ class _TableEnergy(BayesRatio):
         h = num * inv_den
         return float(h @ num) * self.dx, h, inv_den
 
-    def tail(self, fz):
-        """(nonlinear coefficient energy of h, table MMSE); h is extended
-        past the density floor as in the Bayes ratio."""
+    def _coefficients(self, fz):
+        """(h, den, E[h^2], c_0, c_1, sqrt(E[U^2])); h is extended past the
+        density floor as in the Bayes ratio."""
         h, den = self.ratio(fz)
         w = den * self.dx
-        eh2 = float(w @ h**2)
-        c0 = float(w @ h)
-        c1 = float(w @ (self._x * h)) / math.sqrt(float(w @ self._x**2))
+        root = math.sqrt(float(w @ self._x**2))
+        return h, den, float(w @ h**2), float(w @ h), float(w @ (self._x * h)) / root, root
+
+    def tail(self, fz):
+        """(nonlinear coefficient energy of h, table MMSE)."""
+        _, _, eh2, c0, c1, _ = self._coefficients(fz)
         return max(0.0, eh2 - c0 * c0 - c1 * c1), self._var_x - eh2
+
+    def tail_gradient(self, fz):
+        """(nonlinear coefficient energy of h, its gradient in ``fz``).
+
+        The energy is E[h^2] - c_0^2 - c_1^2 over the output points, with
+        num^2/den above the density floor and den h^2 below it.  Below the
+        floor h, the extension of its nearest computed value, is held
+        constant: its weight there is under 1e-12.
+        """
+        h, den, eh2, c0, c1, root = self._coefficients(fz)
+        tail = eh2 - c0 * c0 - c1 * c1
+        if tail <= 0.0:
+            return 0.0, np.zeros(self.n)
+        ok = den > _DENSITY_FLOOR
+        fit = c1 / root * self._x  # c_1 times the first orthonormal polynomial
+        d_num = np.where(ok, 2.0 * (h - c0 - fit), 0.0)
+        d_den = np.where(ok, -h * h, h * (h - 2.0 * (c0 + fit))) + fit * fit
+        return tail, self.dx * self._correlate((d_num, d_den), self._adjoints)
 
     def gradient(self, h):
         """dx (A^T 2h - B^T h^2)."""
@@ -444,83 +514,86 @@ def _search_energy(source: DistributionModel, noise_budget: float,
     return grid, _TableEnergy(source.pdf_on(grid), grid)
 
 
-class _EvaluationCap(Exception):
-    """Raised by ``_nelder_mead``'s counted objective past ``maxfev``."""
+def _wolfe_search(fun, x, f0, g0, d, step: float, evaluations: int):
+    """A step along ``d`` that meets the strong Wolfe conditions, by
+    Nocedal & Wright's bracketing and zoom (algorithms 3.5 and 3.6) with
+    safeguarded quadratic interpolation, in at most ``evaluations`` calls.
+    Returns (step, f, g, evaluations used, met); where the calls run out it
+    returns the lowest point with sufficient decrease, step 0 if none.  A
+    value that is not finite fails sufficient decrease, so the bracket
+    closes on it by bisection."""
+    slope0 = float(g0 @ d)
+    lo, hi = (0.0, f0, slope0, g0), None
+    for used in range(1, evaluations + 1):
+        f, g = fun(x + step * d)
+        slope = float(g @ d) if math.isfinite(f) else math.nan
+        if not (f <= f0 + _WOLFE_DECREASE * step * slope0 and f < lo[1]):
+            hi = (step, f, slope)
+        elif abs(slope) <= -_WOLFE_CURVATURE * slope0:
+            return step, f, g, used, True
+        else:
+            if slope * (1.0 if hi is None else hi[0] - lo[0]) >= 0.0:
+                hi = lo[:3]
+            lo = (step, f, slope, g)
+        step = 2.0 * step if hi is None else _interpolate(lo[:3], hi)
+    return lo[0], lo[1], lo[3], used, False
 
 
-def _nelder_mead(fun, x0, maxfev: int, xatol: float, fatol: float):
-    """Minimize ``fun`` from ``x0`` by the simplex method of Nelder & Mead
-    (Computer Journal 7, 1965); returns (x, fun(x), evaluations, converged).
+def _interpolate(lo, hi) -> float:
+    """The minimizer of the quadratic with lo's (step, f, slope) and hi's f,
+    kept within the middle 80% of the bracket; the bracket's midpoint where
+    that quadratic has no minimum or hi's f is not finite."""
+    (a0, f0, s0), (a1, f1, _) = lo, hi
+    d = a1 - a0
+    curv = f1 - f0 - s0 * d
+    a = a0 - 0.5 * s0 * d * d / curv if 0.0 < curv < math.inf else a0 + 0.5 * d
+    ends = sorted((a0 + 0.1 * d, a0 + 0.9 * d))
+    return min(max(a, ends[0]), ends[1])
 
-    Step for step SciPy 1.17.1's ``minimize(method="Nelder-Mead")`` with its
-    standard coefficients (reflect 1, expand 2, contract 0.5, shrink 0.5) and
-    no bounds, so its iterates keep their bits: the same initial simplex
-    (1.05 x_k, or 0.00025 where x_k is 0), the convergence test before each
-    step (every vertex within ``xatol`` of the best, every value within
-    ``fatol``), the same update expressions and the same argsort re-ordering.
-    The evaluation past ``maxfev`` aborts the current step, and a search
-    that used all ``maxfev`` evaluations has not converged.
+
+def _quasi_newton(fun, x, maxfev: int):
+    """Minimize ``fun`` from ``x`` by BFGS on a dense inverse Hessian
+    (Nocedal & Wright, Numerical Optimization, 2nd ed. 2006, algorithm 6.1)
+    with a strong Wolfe line search; returns (x, f, evaluations, converged).
+
+    ``fun`` returns (value, gradient); a value that is not finite lies
+    outside the domain.  The first step has length 1 along -g, and the
+    inverse Hessian is scaled by y.s / y.y before its first update.  The
+    search has converged when a step lowers f by no more than 1e-12
+    max(|f|, 1), a line search that finds no lower point included, or when
+    no gradient entry exceeds 1e-12 in size.  It has not converged when
+    ``maxfev`` evaluations run out first.
     """
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _EvaluationCap
-        nfev += 1
-        return fun(np.copy(x))
-
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    sim = np.vstack([x0] * (n + 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _EvaluationCap:
-        pass
-    # SciPy sorts here twice; argsort is not stable, so the second sort may
-    # reorder tied vertices
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
+    x = np.asarray(x, dtype=float)
+    f, g = fun(x)
+    nfev = 1
+    if not math.isfinite(f):
+        return x, f, nfev, False
+    inv_h = np.eye(len(x))
+    first = True
     while nfev < maxfev:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - 1 * sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        except _EvaluationCap:
-            pass
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), nfev, nfev < maxfev
+        if np.max(np.abs(g)) <= _QN_GTOL:
+            return x, f, nfev, True
+        d = -(inv_h @ g)
+        if not float(g @ d) < 0.0:  # rounding spoilt the inverse Hessian
+            inv_h, first, d = np.eye(len(x)), True, -g
+        step = 1.0 / math.sqrt(float(d @ d)) if first else 1.0
+        step, f_new, g_new, used, met = _wolfe_search(
+            fun, x, f, g, d, step, min(maxfev - nfev, _LINE_SEARCH_CAP))
+        nfev += used
+        s, y = step * d, g_new - g
+        x, fell, f, g = x + s, f - f_new, f_new, g_new
+        if fell <= _QN_FTOL * max(abs(f), 1.0):
+            return x, f, nfev, met or nfev < maxfev
+        sy = float(s @ y)
+        if sy <= 0.0:
+            continue
+        if first:
+            inv_h *= sy / float(y @ y)
+            first = False
+        v = np.eye(len(x)) - np.outer(s, y) / sy
+        inv_h = v @ inv_h @ v.T + np.outer(s, s) / sy
+    return x, f, nfev, False
 
 
 def worst_noise_search(source: DistributionModel, noise_budget: float,
@@ -529,9 +602,11 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
                        maxfev: int = 2000) -> NoiseSearchResult:
     """Search for the MMSE-maximizing noise at fixed power.
 
-    ``GaussianMixtureFamily``: jamlab's own Nelder-Mead simplex
-    (``_nelder_mead``, step for step SciPy's) with jittered restarts; every
-    iterate is projected to zero mean and the exact variance budget.
+    ``GaussianMixtureFamily``: jamlab's own quasi-Newton method
+    (``_quasi_newton``) on the exact gradient, from 5 seeded starts of at
+    most ``maxfev`` evaluations each; every iterate maps to zero mean and the
+    exact variance budget, and ``iterations`` counts the evaluations of the
+    objective and its gradient.
     ``GridTableFamily``: the convex problem over density tables, solved by
     ``_grid_table_search``; ``iterations`` then counts its Newton steps.  The
     objective is the full nonlinear coefficient energy of the induced optimal
@@ -554,22 +629,18 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
                                  converged=converged)
 
     def objective(params):
-        """Tail energy of the mixture ``params`` unpacks to, or inf for none."""
-        got = _unpack_mixture(params, family.k, noise_budget, 2.0 * grid.dx)
-        return float("inf") if got is None else energy.tail(_mixture_table(*got, grid))[0]
+        return _mixture_objective(params, family.k, noise_budget, energy, grid)
 
     rng = np.random.default_rng(seed)
     best = best_x = None
     total_evals, converged = 0, False
     for _ in range(_MIXTURE_RESTARTS):
         x0 = rng.normal(0.0, 0.7, family.parameter_count)
-        x, fx, nfev, done = _nelder_mead(objective, x0, maxfev, xatol=1e-7, fatol=1e-14)
+        x, fx, nfev, done = _quasi_newton(objective, x0, maxfev)
         total_evals += nfev
-        if np.isfinite(fx) and (best is None or fx < best):
-            best = float(fx)
-            best_x = x
-            converged = done
-    if best is None or not np.isfinite(best):
+        if math.isfinite(fx) and (best is None or fx < best):
+            best, best_x, converged = fx, x, done
+    if best is None:
         raise InfeasibleFamily("no parameter vector produced a usable density")
 
     components = _unpack_mixture(best_x, family.k, noise_budget, 2.0 * grid.dx)

@@ -170,6 +170,18 @@ def test_laplace_moments_quadrature_vs_closed_form():
     np.testing.assert_allclose(got, [1, 0, 1, 0, 6], rtol=1e-5, atol=1e-9)
 
 
+def test_laplace_table_on_a_wide_grid_overflows_no_exp():
+    # at x = 800, exp(x / b) for the branch np.where drops overflowed
+    g = jl.GridSpec(800.0, 32768)
+    with np.errstate(over="raise"):
+        table = jl.laplace(1.0).pdf_on(g)
+    b = 1.0 / math.sqrt(2.0)
+    x = np.concatenate([g.x - g.dx / 2, [g.x[-1] + g.dx / 2]])
+    with np.errstate(over="ignore"):
+        cdf = np.where(x < 0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
+    assert table.tobytes() == (np.diff(cdf) / g.dx).tobytes()
+
+
 def test_mixture_moments_match_quadrature():
     d = jl.gaussian_mixture([0.3, 0.7], [1.4, -0.6], [0.8, 1.1])
     g = jl.default_grid(d)

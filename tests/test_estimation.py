@@ -251,7 +251,7 @@ def test_import_loads_no_scipy_signal():
 
 
 def test_mixture_search_loads_no_scipy():
-    # the Gaussian-mixture search runs jamlab's own Nelder-Mead simplex
+    # the Gaussian-mixture search runs jamlab's own quasi-Newton method
     code = ("import jamlab as jl\n"
             "jl.worst_noise_search(jl.laplace(1), 1, 6, "
             "jl.GaussianMixtureFamily(2), maxfev=50)")

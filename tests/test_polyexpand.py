@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 from scipy import fft as sfft
-from scipy.optimize import minimize
 
 import jamlab as jl
 from jamlab import polyexpand
@@ -14,8 +13,9 @@ from jamlab.estimation import (_DENSITY_FLOOR, _floored_ratio,
                                convolve_tables, linear_benchmark,
                                mmse_estimator, output_density)
 from jamlab.polyexpand import (GaussianMixtureFamily, GridTableFamily,
-                               _match_moments, _mixture_table, _nelder_mead,
-                               _search_energy, _TableEnergy, _unpack_mixture,
+                               _match_moments, _mixture_objective,
+                               _mixture_table, _quasi_newton, _search_energy,
+                               _TableEnergy, _unpack_mixture,
                                build_basis, expansion_coeffs,
                                mmse_via_expansion, noise_from_estimator,
                                worst_noise_search)
@@ -212,9 +212,9 @@ def test_rademacher_source_regression_baseline():
     assert res.mmse_attained == pytest.approx(0.2500, abs=3e-3)
     assert res.mmse_attained < linear_benchmark(1.0, 0.5) - 0.05
     # the exact result of this search, so that a change to its arithmetic shows
-    assert res.objective == pytest.approx(0.08333366447556312, rel=1e-12)
-    assert res.mmse_attained == pytest.approx(0.24999966885779867, rel=1e-12)
-    assert res.iterations == 13171
+    assert res.objective == pytest.approx(0.08333333338129068, rel=1e-12)
+    assert res.mmse_attained == pytest.approx(0.2499999999520548, rel=1e-12)
+    assert res.iterations == 2601
 
 
 def test_search_optimum_beats_random_probe():
@@ -236,93 +236,96 @@ def test_search_optimum_beats_random_probe():
 
 
 def test_capped_mixture_search_regression_pin():
-    # the benchmark's mixture search: every restart stops at its cap
+    # the benchmark's mixture search: no restart reaches its cap
     res = worst_noise_search(jl.laplace(1.0), 1.0, 6, GaussianMixtureFamily(3),
                              seed=1, maxfev=300)
-    assert res.objective == pytest.approx(0.00041810979166923, rel=1e-12)
-    assert res.mmse_attained == pytest.approx(0.49958947491598016, rel=1e-12)
-    assert res.iterations == 1500
-
-
-def _simplex_runs(fun, x0, maxfev, xatol, fatol):
-    """``_nelder_mead`` and SciPy's Nelder-Mead from the same start, checked
-    to be bit for bit the same; returns the points and values evaluated."""
-    logs = ([], [])
-
-    def logged(log):
-        def f(x):
-            log.append((x.tobytes(), fun(x)))
-            return log[-1][1]
-        return f
-
-    x, fx, nfev, converged = _nelder_mead(logged(logs[0]), x0, maxfev, xatol, fatol)
-    res = minimize(logged(logs[1]), x0, method="Nelder-Mead",
-                   options=dict(maxfev=maxfev, xatol=xatol, fatol=fatol))
-    assert logs[0] == logs[1]
-    assert x.tobytes() == res.x.tobytes()
-    assert np.float64(fx).tobytes() == np.float64(res.fun).tobytes()
-    assert (nfev, converged) == (res.nfev, res.success)
-    return [np.frombuffer(b) for b, _ in logs[0]], [v for _, v in logs[0]]
+    assert res.objective == pytest.approx(4.287719783635513e-05, rel=1e-12)
+    assert res.mmse_attained == pytest.approx(0.499964707731434, rel=1e-12)
+    assert res.iterations == 348
 
 
 def _rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1]**2)**2 + (1.0 - x[:-1])**2))
+    """Rosenbrock's function and its gradient."""
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1]**2) - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * (x[1:] - x[:-1]**2)
+    return float(np.sum(100.0 * (x[1:] - x[:-1]**2)**2 + (1.0 - x[:-1])**2)), g
 
 
-@pytest.fixture(scope="module")
-def capped_mixture_objective():
-    """The first restart of the benchmark's capped Laplace search."""
-    grid, energy = _search_energy(jl.laplace(1.0), 1.0, None)
-
-    def objective(params):
-        got = _unpack_mixture(params, 3, 1.0, 2.0 * grid.dx)
-        return float("inf") if got is None else energy.tail(_mixture_table(*got, grid))[0]
-    return objective, np.random.default_rng(1).normal(0.0, 0.7, 8)
+@pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.05, 1.5, 0.02]])
+def test_quasi_newton_reaches_the_rosenbrock_minimum(x0):
+    x, fx, nfev, converged = _quasi_newton(_rosenbrock, np.array(x0), 2000)
+    assert converged and nfev < 100
+    assert fx < 1e-12
+    assert np.max(np.abs(x - 1.0)) < 1e-5
 
 
-def test_simplex_is_scipys_on_the_capped_mixture_search(capped_mixture_objective):
-    fun, x0 = capped_mixture_objective
-    _, values = _simplex_runs(fun, x0, 300, xatol=1e-7, fatol=1e-14)
-    assert len(values) == 300
+def test_quasi_newton_stopped_at_its_cap_has_not_converged():
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return _rosenbrock(x)
+    x0 = np.array([-1.2, 1.0])
+    x, fx, nfev, converged = _quasi_newton(counted, x0, 10)
+    assert (nfev, len(calls), converged) == (10, 10, False)
+    assert fx == _rosenbrock(x)[0] < _rosenbrock(x0)[0]
 
 
-def test_simplex_is_scipys_when_the_cap_falls_in_the_initial_simplex(
-        capped_mixture_objective):
-    fun, x0 = capped_mixture_objective
-    _, values = _simplex_runs(fun, x0, 5, xatol=1e-7, fatol=1e-14)
-    assert len(values) == 5
+def test_quasi_newton_never_returns_a_point_where_the_objective_is_inf():
+    # the unconstrained minimum (-1, 2, 0.5) lies in the inf half-space x_0 < 0
+    values = []
 
-
-def test_simplex_is_scipys_when_it_stops_on_the_tolerances():
-    # a zero coordinate takes the 0.00025 step of the initial simplex
     def fun(x):
-        return float(np.sum([1.0, 10.0, 100.0] * (x - [1.0, -2.0, 0.5])**2))
-    _, values = _simplex_runs(fun, np.array([0.0, 0.3, 0.0]), 2000,
-                              xatol=1e-6, fatol=1e-10)
-    assert len(values) < 2000
+        d = x - np.array([-1.0, 2.0, 0.5])
+        values.append(math.inf if x[0] < 0.0 else float(d @ d))
+        return values[-1], 2.0 * d
+    x, fx, nfev, _ = _quasi_newton(fun, np.array([0.3, 0.1, 2.0]), 500)
+    assert nfev == len(values) and math.isinf(max(values))
+    assert x[0] >= 0.0 and fx == min(values) == fun(x)[0]
 
 
-def test_simplex_is_scipys_through_shrink_steps():
-    points, values = _simplex_runs(_rosenbrock, np.array([-2.9, 2.2, 2.9, 2.7]),
-                                   3000, xatol=1e-8, fatol=1e-8)
-    # a shrink evaluates b + 0.5 (v - b) for the best vertex b and each other
-    # vertex v; b is taken as the best point so far, so a shrink that finds a
-    # better point midway is undercounted
-    shrunk = 0
-    for i in range(1, len(points)):
-        b = points[int(np.argmin(values[:i]))]
-        shrunk += bool(np.any(np.all(b + 0.5 * (np.array(points[:i]) - b) == points[i],
-                                     axis=1)))
-    assert shrunk >= 4
-    assert len(values) < 3000
+@pytest.mark.parametrize("source, budget", [
+    (jl.laplace(1.0), 1.0), (jl.uniform(1.0), 1.0), (jl.rademacher_scaled(1.0), 0.5)],
+    ids=["laplace", "uniform", "rademacher"])
+def test_mixture_gradient_matches_central_differences(source, budget):
+    grid, energy = _search_energy(source, budget, None)
+    rng = np.random.default_rng(5)
+    eps = 1e-6
+    for _ in range(3):
+        params = rng.normal(0.0, 0.7, 8)
+        value, grad = _mixture_objective(params, 3, budget, energy, grid)
+        assert math.isfinite(value)
+        fd = np.array([(_mixture_objective(params + eps * e, 3, budget, energy, grid)[0]
+                        - _mixture_objective(params - eps * e, 3, budget, energy, grid)[0])
+                       / (2 * eps) for e in np.eye(8)])
+        assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
 
 
-def test_simplex_is_scipys_where_the_objective_is_inf():
-    def fun(x):
-        return float("inf") if np.any(x < 0.0) else _rosenbrock(x)
-    _, values = _simplex_runs(fun, np.array([0.05, 1.5, 0.02]), 2000,
-                              xatol=1e-8, fatol=1e-8)
-    assert np.isinf(values).any()
+def test_a_mixture_with_mass_off_the_grid_scores_inf():
+    # nearly all of the variance sits in a component of weight 1.1e-4 at
+    # mean 67.4, outside the +-12.05 grid, so the table keeps 6e-4 of the
+    # 0.5 power
+    source, budget = jl.rademacher_scaled(1.0), 0.5
+    grid, energy = _search_energy(source, budget, None)
+    assert grid.num_points == 2048 and grid.half_width == pytest.approx(12.05, abs=0.01)
+    floor = 2.0 * grid.dx
+    w = np.array([1e-12, 1.0 - 1e-12 - 1.1e-4, 1.1e-4])
+    room = budget - floor**2 - w[0] * 36.6**2
+    # means 36.6, m2, m3 with mean 0 and second moment ``room``
+    m3 = math.sqrt(room * w[1] / (w[2] * (w[1] + w[2])))
+    means = np.array([36.6, -w[2] * m3 / w[1], m3])
+    params = np.concatenate([np.log(w[:2] / w[2]), means, np.zeros(3)])
+    wts, mu, sg = _unpack_mixture(params, 3, budget, floor)
+    assert mu == pytest.approx([36.6, -0.0074, 67.4], rel=1e-3, abs=1e-4)
+    assert sg == pytest.approx(floor, rel=1e-12)
+    fz = _mixture_table(wts, mu, sg, grid)
+    assert float(grid.x**2 @ fz) * grid.dx < 1e-3
+    # scored on the grid alone, the table would pass for a noise that leaves
+    # the source almost unharmed
+    tail, mmse = energy.tail(fz)
+    assert tail < 1e-3 and mmse < 2e-4
+    assert _mixture_objective(params, 3, budget, energy, grid) == (math.inf, None)
 
 
 def test_family_parameter_cap():
@@ -394,8 +397,9 @@ def test_search_rejects_bad_noise_budget(budget):
 
 
 def test_a_family_with_no_usable_member_is_infeasible():
-    # at budget 1e-8 a one-component mixture has sigma 1e-4, below half the
-    # sigma floor of two grid steps (0.31 here), so every start scores inf
+    # every component's variance is at least the square of the sigma floor
+    # of two grid steps (0.31 here), far above the budget 1e-8, so every
+    # start scores inf
     with pytest.raises(InfeasibleFamily,
                        match="^no parameter vector produced a usable density$"):
         worst_noise_search(jl.laplace(1.0), 1e-8, 6, GaussianMixtureFamily(1),
