@@ -182,9 +182,9 @@ class DistributionModel:
         if self.kind == GAUSSIAN:
             return _gauss_cdf(x, self.variance)
         if self.kind == LAPLACE:
-            # -|x| / b is x / b left of 0 and -x / b right of it, and exp
-            # of it cannot overflow on the side np.where drops
-            tail = 0.5 * np.exp(-np.abs(x) / (self.sigma / math.sqrt(2.0)))
+            b = self.sigma / math.sqrt(2.0)
+            # one exponent -|x| / b <= 0 for both sides, so neither overflows
+            tail = 0.5 * np.exp(-np.abs(x) / b)
             return np.where(x < 0, tail, 1.0 - tail)
         if self.kind == UNIFORM:
             a = math.sqrt(3.0 * self.variance)

@@ -518,7 +518,7 @@ def _wolfe_search(fun, x, f0, g0, d, step: float, evaluations: int):
     """A step along ``d`` that meets the strong Wolfe conditions, by
     Nocedal & Wright's bracketing and zoom (algorithms 3.5 and 3.6) with
     safeguarded quadratic interpolation, in at most ``evaluations`` calls.
-    Returns (step, f, g, evaluations used, met); where the calls run out it
+    Returns (step, f, g, evaluations used); where the calls run out it
     returns the lowest point with sufficient decrease, step 0 if none.  A
     value that is not finite fails sufficient decrease, so the bracket
     closes on it by bisection."""
@@ -530,13 +530,13 @@ def _wolfe_search(fun, x, f0, g0, d, step: float, evaluations: int):
         if not (f <= f0 + _WOLFE_DECREASE * step * slope0 and f < lo[1]):
             hi = (step, f, slope)
         elif abs(slope) <= -_WOLFE_CURVATURE * slope0:
-            return step, f, g, used, True
+            return step, f, g, used
         else:
             if slope * (1.0 if hi is None else hi[0] - lo[0]) >= 0.0:
                 hi = lo[:3]
             lo = (step, f, slope, g)
         step = 2.0 * step if hi is None else _interpolate(lo[:3], hi)
-    return lo[0], lo[1], lo[3], used, False
+    return lo[0], lo[1], lo[3], used
 
 
 def _interpolate(lo, hi) -> float:
@@ -561,8 +561,8 @@ def _quasi_newton(fun, x, maxfev: int):
     inverse Hessian is scaled by y.s / y.y before its first update.  The
     search has converged when a step lowers f by no more than 1e-12
     max(|f|, 1), a line search that finds no lower point included, or when
-    no gradient entry exceeds 1e-12 in size.  It has not converged when
-    ``maxfev`` evaluations run out first.
+    no gradient entry exceeds 1e-12 in size, unless it used all ``maxfev``
+    evaluations: then it has not converged.
     """
     x = np.asarray(x, dtype=float)
     f, g = fun(x)
@@ -578,13 +578,13 @@ def _quasi_newton(fun, x, maxfev: int):
         if not float(g @ d) < 0.0:  # rounding spoilt the inverse Hessian
             inv_h, first, d = np.eye(len(x)), True, -g
         step = 1.0 / math.sqrt(float(d @ d)) if first else 1.0
-        step, f_new, g_new, used, met = _wolfe_search(
+        step, f_new, g_new, used = _wolfe_search(
             fun, x, f, g, d, step, min(maxfev - nfev, _LINE_SEARCH_CAP))
         nfev += used
         s, y = step * d, g_new - g
         x, fell, f, g = x + s, f - f_new, f_new, g_new
         if fell <= _QN_FTOL * max(abs(f), 1.0):
-            return x, f, nfev, met or nfev < maxfev
+            return x, f, nfev, nfev < maxfev
         sy = float(s @ y)
         if sy <= 0.0:
             continue

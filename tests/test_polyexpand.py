@@ -272,6 +272,16 @@ def test_quasi_newton_stopped_at_its_cap_has_not_converged():
     assert fx == _rosenbrock(x)[0] < _rosenbrock(x0)[0]
 
 
+@pytest.mark.parametrize("maxfev, nfev, converged", [(5, 5, False), (100, 21, True)])
+def test_a_line_search_that_finds_no_lower_point_ends_the_search(maxfev, nfev,
+                                                                 converged):
+    # the gradient's sign is wrong, so f rises along every search direction
+    x0 = np.array([1.0, 0.0])
+    got = _quasi_newton(lambda x: (float(x @ x), -x), x0, maxfev)
+    assert got[0].tobytes() == x0.tobytes()
+    assert got[1:] == (1.0, nfev, converged)
+
+
 def test_quasi_newton_never_returns_a_point_where_the_objective_is_inf():
     # the unconstrained minimum (-1, 2, 0.5) lies in the inf half-space x_0 < 0
     values = []
@@ -394,6 +404,15 @@ def test_search_rejects_bad_noise_budget(budget):
                                        GridTableFamily())):
         with pytest.raises(ValueError, match="finite and positive"):
             search()
+
+
+def test_a_one_component_family_is_searched_in_one_evaluation_per_start():
+    # its one member is the Gaussian at the budget, where the gradient in
+    # the parameters vanishes
+    res = worst_noise_search(jl.laplace(1.0), 1.0, 6, GaussianMixtureFamily(1))
+    assert (res.iterations, res.converged) == (5, True)
+    (w, mu, sigma), = res.noise.components
+    assert (w, mu) == (1.0, 0.0) and sigma == pytest.approx(1.0, rel=1e-15)
 
 
 def test_a_family_with_no_usable_member_is_infeasible():
