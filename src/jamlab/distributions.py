@@ -111,6 +111,13 @@ def _gauss_pdf(x, var):
     return np.exp(-x * x / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 
+def _mixture_tail_mass(components, L: float) -> float:
+    """Mass outside [-L, L] of the Gaussian mixture with ``(weight, mean,
+    sigma)`` triples ``components``, closed form."""
+    return float(sum(w * (1.0 - _gauss_cdf(L - mu, s * s) + _gauss_cdf(-L - mu, s * s))
+                     for w, mu, s in components))
+
+
 @dataclass(frozen=True)
 class DistributionModel:
     """A zero-mean scalar distribution with lazily derived transforms.
@@ -331,10 +338,7 @@ class DistributionModel:
         if self.kind == RADEMACHER:
             return 0.0 if L >= self.sigma else 1.0
         if self.kind == GAUSSIAN_MIXTURE:
-            total = 0.0
-            for w, mu, s in self.components:
-                total += w * (1.0 - _gauss_cdf(L - mu, s * s) + _gauss_cdf(-L - mu, s * s))
-            return float(total)
+            return _mixture_tail_mass(self.components, L)
         if self.kind == TABULATED:
             outside = np.abs(self.grid.x) > L
             return float(np.sum(self.table[outside]) * self.grid.dx)

@@ -31,11 +31,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charfun import cf_divide, cf_of, cf_power, check_validity
-from .distributions import (DistributionModel, default_grid, gaussian,
-                            gaussian_mixture, tabulated)
-from .errors import (BasisMismatch, GridTooNarrow, IllConditioned,
-                     InfeasibleFamily, UnstableIntegration, check_integer,
-                     check_tails)
+from .distributions import (DistributionModel, _mixture_tail_mass, default_grid,
+                            gaussian, gaussian_mixture, tabulated)
+from .errors import (_MASS_GATE, BasisMismatch, IllConditioned, InfeasibleFamily,
+                     UnstableIntegration, check_integer, check_tails)
 from .estimation import (_DENSITY_FLOOR, BayesRatio, _check_output_mass,
                          _curve_of, _gated_ratio)
 from .grids import GridSpec, read_only_copy
@@ -282,9 +281,7 @@ def _mixture_objective(params, k: int, budget: float, energy, grid: GridSpec):
     if parts is None:
         return math.inf, None
     wts, mu, sg, c, t, s = parts
-    try:
-        check_tails(grid, gaussian_mixture(wts, mu, sg))
-    except GridTooNarrow:
+    if _mixture_tail_mass(zip(wts, mu, sg), grid.half_width) >= _MASS_GATE:
         return math.inf, None
     z, rows = _component_densities(mu, sg, grid)
     tail, g_table = energy.tail_gradient(wts @ rows)
@@ -456,8 +453,10 @@ def _grid_table_search(objective: _TableEnergy, budget: float, grid: GridSpec):
     Gaussian is a barrier centre at every mu and the barrier itself adds no
     ripple where the source CF is too small for the objective to see.  Each
     Newton step solves the barrier system by projected conjugate gradients
-    with a diagonal (Hessian plus barrier) preconditioner and keeps 1% of
-    the distance to the positivity boundary.  A centred iterate at barrier
+    with a diagonal (Hessian plus barrier) preconditioner.  Its trial point
+    max(f + t d, 0.01 f) floors each entry at 1% of its value and has its
+    moments restored where the floor binds; t halves while that repair fails
+    or the barrier merit misses the Armijo test.  A centred iterate at barrier
     parameter mu is within mu * sum(w) dx (about mu) of the minimum, so the
     last mu bounds the barrier's cost at about 1e-8.
     """
@@ -485,16 +484,21 @@ def _grid_table_search(objective: _TableEnergy, budget: float, grid: GridSpec):
             if decrement < 1e-3 * mu:
                 converged = True
                 break
-            shrink = step < 0
-            t = min(1.0, 0.99 * float(np.min(f[shrink] / -step[shrink]))) \
-                if shrink.any() else 1.0
-            merit = energy - mu * dx * float(weights @ np.log(f))
+            merit, t = energy - mu * dx * float(weights @ np.log(f)), 1.0
+            # each entry is floored at 1% of itself, so that an entry in the
+            # far tails cannot cut the step of all the others
             while t > 1e-10:
-                trial = f + t * step
-                got = objective.at(trial)
-                trial_merit = got[0] - mu * dx * float(weights @ np.log(trial))
-                if trial_merit <= merit - 1e-4 * t * decrement:
-                    break
+                trial, floor, usable = f + t * step, 0.01 * f, True
+                if np.any(trial < floor):
+                    try:
+                        trial = _match_moments(np.maximum(trial, floor), rows, target, dx)
+                    except np.linalg.LinAlgError:
+                        usable = False
+                if usable and 0.0 < trial.min() and trial.max() < math.inf:
+                    got = objective.at(trial)
+                    trial_merit = got[0] - mu * dx * float(weights @ np.log(trial))
+                    if trial_merit <= merit - 1e-4 * t * decrement:
+                        break
                 t *= 0.5
             else:
                 break  # no descent along the Newton direction

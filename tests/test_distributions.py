@@ -49,6 +49,17 @@ def test_mixture_variance_bookkeeping():
     assert d.variance == pytest.approx(0.25 * (9 + 0.25) + 0.75 * (1 + 1))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_mixture_tail_mass_counts_both_tails(sign):
+    # a component at mean 3 sigmas off centre, past L = 2 on one side
+    d = jl.gaussian_mixture([0.25, 0.75], [sign * 3.0, -sign * 1.0], [1.0, 1.0])
+
+    def upper(z):  # P(N(0, 1) > z)
+        return 0.5 * math.erfc(z / math.sqrt(2.0))
+    want = 0.25 * (upper(-1.0) + upper(5.0)) + 0.75 * (upper(3.0) + upper(1.0))
+    assert d.tail_mass_outside(2.0) == pytest.approx(want, rel=1e-12)
+
+
 def test_tabulated_rejects_bad_mass():
     g = jl.GridSpec(4.0, 64)
     f = np.ones(64)  # integrates to 8

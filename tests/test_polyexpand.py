@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -612,15 +613,88 @@ def test_grid_table_search_recovers_gaussian_noise():
 
 def test_grid_table_search_regression_pin():
     res = worst_noise_search(jl.laplace(1.0), 1.0, 6, GridTableFamily())
-    assert res.objective == pytest.approx(2.269722187975276e-10, rel=1e-12)
-    assert res.iterations == 124
+    assert res.objective == pytest.approx(1.7685108932852245e-10, rel=1e-12)
+    assert res.iterations == 34
 
 
 def test_grid_table_search_budget_two_regression_pin():
     # the benchmark's other grid-table search
     res = worst_noise_search(jl.laplace(1.0), 2.0, 6, GridTableFamily())
-    assert res.objective == pytest.approx(9.861056415871872e-12, rel=1e-12)
-    assert res.iterations == 28
+    assert res.objective == pytest.approx(8.865630451992956e-12, rel=1e-12)
+    assert res.iterations == 19
+
+
+# MMSE of the table search under the whole-step fraction-to-boundary cut
+# t = min(1, 0.99 min f/-d) that the per-entry floor replaced
+_CUT_STEP_MMSE = {
+    ("gaussian", 0.5): 0.3333333333323115, ("gaussian", 1.0): 0.4999999999992535,
+    ("gaussian", 2.0): 0.6666666666661187, ("laplace", 0.5): 0.333336703721653,
+    ("laplace", 1.0): 0.5000075849372219, ("laplace", 2.0): 0.6666936295404906,
+    ("uniform", 0.5): 0.3232264044365618, ("uniform", 1.0): 0.5000043770305818,
+    ("uniform", 2.0): 0.6666578933766374, ("rademacher_scaled", 0.5): 0.249999998394573,
+}
+
+
+def _assert_a_held_table_search(res, source, budget):
+    # converged to a strictly positive table with the constraints held, at the
+    # MMSE of the cut-step search within the barrier's 1e-8 at mu = 1e-8
+    f, grid = res.noise.table, res.noise.grid
+    assert res.converged
+    assert f.min() > 0.0
+    assert abs(float(np.sum(f)) * grid.dx - 1.0) <= 1e-12
+    assert abs(float(grid.x @ f) * grid.dx) <= 1e-12
+    assert abs(float(grid.x**2 @ f) * grid.dx - budget) <= 1e-12
+    assert abs(res.mmse_attained - _CUT_STEP_MMSE[source, budget]) <= 1e-8
+
+
+@pytest.mark.parametrize("source, budget", list(_CUT_STEP_MMSE))
+def test_floored_steps_reach_the_cut_step_mmse(source, budget):
+    res = worst_noise_search(getattr(jl, source)(1.0), budget, 6, GridTableFamily())
+    _assert_a_held_table_search(res, source, budget)
+
+
+@pytest.mark.parametrize("failure", ["singular", "non-positive"])
+def test_a_failed_moment_repair_halves_the_step(monkeypatch, failure):
+    # the repair of the first floored trial point fails; the search must
+    # retry at half the step, evaluate no failed point, and converge
+    log = []  # ("at" | "step" | "repair", array) in call order
+    repair, solve = polyexpand._match_moments, polyexpand._projected_cg
+    evaluate = polyexpand._TableEnergy.at
+
+    def failing(f, rows, target, dx):
+        log.append(("repair", f.copy()))
+        if sum(kind == "repair" for kind, _ in log) == 2:  # 1 builds the start
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.where(np.arange(f.size) == f.size // 2, 0.0, f)
+        return repair(f, rows, target, dx)
+
+    def recorded(*args):
+        log.append(("step", solve(*args)))
+        return log[-1][1]
+
+    def evaluated(self, fz):
+        log.append(("at", fz.copy()))
+        return evaluate(self, fz)
+
+    monkeypatch.setattr(polyexpand, "_match_moments", failing)
+    monkeypatch.setattr(polyexpand, "_projected_cg", recorded)
+    monkeypatch.setattr(polyexpand._TableEnergy, "at", evaluated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # log of a non-positive table warns
+        res = worst_noise_search(jl.laplace(1.0), 1.0, 6, GridTableFamily())
+    fail = [n for n, (kind, _) in enumerate(log) if kind == "repair"][1]
+    assert [kind for kind, _ in log[fail + 1:fail + 3]] == ["repair", "at"]
+    # the iterate is the last point evaluated before its Newton step
+    n_step = max(n for n in range(fail) if log[n][0] == "step")
+    f = next(a for kind, a in log[n_step::-1] if kind == "at")
+    step = log[n_step][1]
+
+    def floored(t):
+        return np.maximum(f + t * step, 0.01 * f)
+    t = next(t for t in 0.5**np.arange(30) if np.array_equal(floored(t), log[fail][1]))
+    assert np.array_equal(floored(t / 2), log[fail + 1][1])
+    _assert_a_held_table_search(res, "laplace", 1.0)
 
 
 @pytest.mark.parametrize("budget, mmse", [
