@@ -23,10 +23,16 @@ An existing ``--out`` file keeps its other workloads; this workload's entry
 is replaced.  The file is written after every pair, with the summary over
 the pairs so far, so a run that is stopped keeps its finished pairs.
 
+After the pairs, each checkout runs once more with ``--trace 1``, at the
+seed after the range, parent first.  The entry's ``traced`` holds that
+command and each side's summary, whose ``metrics`` are then the per-layer
+ones: the record of where the time went, in measured, unscaled times.
+
 A pair in which either side's ``run.py`` exits non-zero (a failed check of
 the workload's own, or a crash) is listed under ``failed_pairs`` with each
 side's ``exit_code`` and left out of the summaries; the record goes on with
-the next seed, and the script exits 1 at the end.  A ``--workload`` that
+the next seed, and the script exits 1 at the end; so it does where a
+traced run exits non-zero.  A ``--workload`` that
 the change's ``BENCHMARK.json`` does not name is an argparse error.
 """
 
@@ -85,11 +91,11 @@ def measured_lines(lines: list[str], workload: str) -> dict:
     return out
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """The run's JSON summary with its ``measured`` lines and ``exit_code``;
     a run that printed no summary gives only the exit code."""
     cmd = [sys.executable, "jambench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
+           "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
     try:
@@ -139,11 +145,12 @@ def summarize(pairs: list[dict], better: dict[str, str],
 
 
 def write_record(out: Path, workload: str, commits: dict, pairs: list[dict],
-                 better: dict[str, str], failed_pairs: list[dict]) -> dict:
+                 better: dict[str, str], failed_pairs: list[dict],
+                 traced: dict | None = None) -> dict:
     """Write ``workload``'s entry over ``pairs`` into the record ``out``,
-    with ``failed_pairs`` listed apart, keeping its other workloads, and
-    return the entry.  The file is replaced whole, so a run stopped while
-    writing leaves the last record."""
+    with ``failed_pairs`` listed apart and the ``traced`` runs, keeping its
+    other workloads, and return the entry.  The file is replaced whole, so a
+    run stopped while writing leaves the last record."""
     record = json.loads(out.read_text()) if out.exists() else {}
     record.setdefault("workloads", {})
     record["host"] = {"cpus": os.cpu_count(), "machine": platform.machine(),
@@ -159,6 +166,7 @@ def write_record(out: Path, workload: str, commits: dict, pairs: list[dict],
                       for side in SIDES},
         "pairs": pairs,
         "failed_pairs": failed_pairs,
+        "traced": traced,
     }
     tmp = out.with_name(out.name + ".tmp")
     tmp.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
@@ -198,18 +206,29 @@ def main(argv=None) -> int:
         (pairs if ok else failed_pairs).append(pair)
         entry = write_record(args.out, args.workload, commits, pairs,
                              better, failed_pairs)
+    seed = args.seeds[-1] + 1
+    traced = {"command": f"python3 jambench/run.py --workload {args.workload} "
+                         f"--seed {seed} --trace 1",
+              "runs": {side: run_once(dirs[side], args.workload, seed, 1)
+                       for side in SIDES}}
+    entry = write_record(args.out, args.workload, commits, pairs, better,
+                         failed_pairs, traced)
     for section in ("metrics", "measured"):
         for name, m in entry[section].items():
             label = name if section == "metrics" else f"measured/{name}"
             print(f"{args.workload}/{label}: {m['parent']['median']:.4g} -> "
                   f"{m['change']['median']:.4g} {m['unit']}, "
                   f"{m['change_wins']}/{m['pairs']} wins")
+    failed_traces = [side for side in SIDES
+                     if traced["runs"][side]["exit_code"] != 0]
+    if failed_traces:
+        print(f"{args.workload}: the traced run exited non-zero on the "
+              + " and ".join(failed_traces) + " side", file=sys.stderr)
     if failed_pairs:
         print(f"{args.workload}: left out {len(failed_pairs)} pair(s) with a "
               f"non-zero exit, seeds " + ", ".join(
                   str(p["seed"]) for p in failed_pairs), file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed_pairs or failed_traces else 0
 
 
 if __name__ == "__main__":

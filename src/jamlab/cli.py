@@ -332,6 +332,7 @@ def _task_worst_noise(spec, cfg, strict_paper):
     outputs = {
         "objective": res.objective,
         "mmse_attained": res.mmse_attained,
+        "linear_bound": res.linear_bound,
         "iterations": res.iterations,
         "converged": res.converged,
         "noise_components": [list(c) for c in res.noise.components],

@@ -3,7 +3,8 @@
 The conditional mean h(u) = E[X | X + Z = u] is computed by grid quadrature:
 numerator and denominator of the Bayes ratio are linear convolutions of the
 tabulated densities, by the ``BayesRatio`` that the worst-noise search and the
-game's decoders share.  The MMSE comes from the orthogonality identity
+game's decoders share, at the FFT length 3n/2 that keeps the middle n samples
+free of wrap-around.  The MMSE comes from the orthogonality identity
 var(X) - E[h^2(U)], a dimension of quadrature fewer than the direct squared
 error, which ``distortion_of`` keeps as a cross-check in tests.
 """
@@ -45,20 +46,23 @@ class EstimatorCurve:
 class BayesRatio:
     """The Bayes ratio h = num/den of noise tables against two kernel rows (x f_X
     and f_X, or an encoder's first-moment and mass deposits), whose spectra it
-    keeps.  Convolutions are linear along the last axis at FFT length 2n, the fast
-    length for 2n - 1 at a GridSpec's power of two, cut to n samples times ``dx``."""
+    keeps.  Convolutions run along the last axis, cut to the n samples from n/2
+    (n/2 - 1 for an adjoint) times ``dx``, at FFT length ceil(3n/2): the linear
+    result's 2n - 1 samples wrap their last ones onto indices n/2 - 2 and
+    below, outside both cuts, and 3 2^k is a fast length at a GridSpec's n."""
 
     def __init__(self, rows: np.ndarray, dx: float = 1.0):
-        self.n, self.dx, self.size = rows.shape[-1], dx, 2 * rows.shape[-1]
+        self.n, self.dx = rows.shape[-1], dx
+        self.size = (3 * self.n + 1) // 2
         self._kernels = self.spectrum(rows)
 
-    def spectrum(self, tables):
-        return np.fft.rfft(tables, self.size)
+    def spectrum(self, tables, size=None):
+        return np.fft.rfft(tables, size or self.size)
 
-    def on_grid(self, spectra, adjoint=False):
+    def on_grid(self, spectra, adjoint=False, size=None):
         """An adjoint's kernel is reversed, so its samples start a lag earlier."""
         start = self.n // 2 - adjoint
-        return np.fft.irfft(spectra, self.size)[..., start:start + self.n] * self.dx
+        return np.fft.irfft(spectra, size or self.size)[..., start:start + self.n] * self.dx
 
     def convolve(self, table):
         """The kernel rows convolved with ``table``; kernel spectrum first."""
@@ -71,9 +75,10 @@ class BayesRatio:
 
 
 def convolve_tables(f: np.ndarray, g: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Linear convolution of two density tables, restricted to the grid.  The
-    spectrum of f multiplies that of g, the operand order of
-    ``scipy.signal.fftconvolve``, whose bits the tests hold this to."""
+    """Linear convolution of two density tables, restricted to the grid, by
+    ``BayesRatio``'s transform: the spectrum of f at length ceil(3n/2)
+    multiplies that of g, which is not ``scipy.signal.fftconvolve``'s length
+    and so not its bits, only its values to rounding."""
     return BayesRatio(f, grid.dx).convolve(g)
 
 

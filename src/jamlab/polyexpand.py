@@ -36,7 +36,7 @@ from .distributions import (DistributionModel, _mixture_tail_mass, default_grid,
 from .errors import (_MASS_GATE, BasisMismatch, IllConditioned, InfeasibleFamily,
                      UnstableIntegration, check_integer, check_tails)
 from .estimation import (_DENSITY_FLOOR, BayesRatio, _check_output_mass,
-                         _curve_of, _gated_ratio)
+                         _curve_of, _gated_ratio, linear_benchmark)
 from .grids import GridSpec, read_only_copy
 
 _ORDER_CAP = 12          # Hankel conditioning ceiling in double precision
@@ -229,9 +229,14 @@ class GridTableFamily:
 
 @dataclass(frozen=True)
 class NoiseSearchResult:
+    """``linear_bound`` is v P / (v + P), with v the variance of the source's
+    table on the search grid and P the budget: the MMSE of the best linear
+    estimator, which ``mmse_attained`` cannot exceed."""
+
     noise: DistributionModel
     objective: float
     mmse_attained: float
+    linear_bound: float
     iterations: int
     converged: bool
 
@@ -318,16 +323,17 @@ class _TableEnergy(BayesRatio):
         self._x = grid.x
         self._var_x = float(np.sum(grid.x**2 * fx) * grid.dx)
         self._adjoints = self.spectrum(np.stack([kx, fx])[:, ::-1])
-        self._squares = self.spectrum(np.stack([kx * kx, kx * fx, fx * fx])[:, ::-1])
+        self._squares = self.spectrum(np.stack([kx * kx, kx * fx, fx * fx])[:, ::-1],
+                                      2 * self.n)
 
     def _forward(self, v):
         """(A v, B v)."""
         return self.on_grid(self.spectrum(v) * self._kernels)
 
-    def _correlate(self, vectors, spectra):
+    def _correlate(self, vectors, spectra, size=None):
         """Sum over pairs of the adjoint convolutions K^T v."""
-        total = sum(self.spectrum(np.stack(vectors)) * spectra)
-        return self.on_grid(total, adjoint=True)
+        total = sum(self.spectrum(np.stack(vectors), size) * spectra)
+        return self.on_grid(total, adjoint=True, size=size)
 
     def at(self, fz):
         """(E[h^2], h, 1/den), with h and 1/den zero below the floor."""
@@ -380,8 +386,12 @@ class _TableEnergy(BayesRatio):
         return 2.0 * self.dx * self._correlate((r, -h * r), self._adjoints)
 
     def hessian_diagonal(self, h, inv_den):
+        """At FFT length 2n, not 3n/2.  The entries can span 11 decades, so a
+        transform's rounding, about eps times the largest entry, is a real
+        share of the smallest; at 3n/2 that share measured 1.3e-5 on a
+        256-point grid where 2n stays within 1e-5."""
         return 2.0 * self.dx**2 * self._correlate(
-            (inv_den, -2.0 * h * inv_den, h * h * inv_den), self._squares)
+            (inv_den, -2.0 * h * inv_den, h * h * inv_den), self._squares, 2 * self.n)
 
 
 def _match_moments(f: np.ndarray, rows: np.ndarray, target: np.ndarray,
@@ -509,12 +519,15 @@ def _grid_table_search(objective: _TableEnergy, budget: float, grid: GridSpec):
 
 def _search_energy(source: DistributionModel, noise_budget: float,
                    grid: GridSpec | None):
-    """(grid, ``_TableEnergy`` of the source) for a search at this budget."""
+    """(grid, ``_TableEnergy`` of the source) for a search at this budget;
+    ``GridTooNarrow`` where the grid leaves 1e-10 or more of the source's
+    mass off."""
     if not (math.isfinite(noise_budget) and noise_budget > 0):
         raise ValueError("noise budget must be finite and positive")
     if grid is None:
         scale = math.sqrt(noise_budget / source.variance)
         grid = default_grid(source, source.scaled(scale), num_points=2048)
+    check_tails(grid, source)
     return grid, _TableEnergy(source.pdf_on(grid), grid)
 
 
@@ -618,19 +631,22 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     ``order`` is accepted for the caller's record and not read, and no
     expansion coefficients are returned.  An unknown family, a ``seed`` that
     is no integer from 0, or a ``maxfev`` that is no integer from 1 raises
-    ``ValueError`` for either family, before any spectrum is built.
+    ``ValueError`` for either family, before any spectrum is built; so,
+    after those checks, does ``GridTooNarrow`` where ``grid`` leaves 1e-10 or
+    more of the source's mass off.
     """
     if not isinstance(family, (GaussianMixtureFamily, GridTableFamily)):
         raise ValueError(f"unknown family {family!r}")
     check_integer("seed", seed, 0)
     check_integer("maxfev", maxfev, 1)
     grid, energy = _search_energy(source, noise_budget, grid)
+    bound = linear_benchmark(energy._var_x, noise_budget)
     if isinstance(family, GridTableFamily):
         fz, steps, converged = _grid_table_search(energy, noise_budget, grid)
         tail, mmse = energy.tail(fz)
         return NoiseSearchResult(noise=tabulated(grid, fz), objective=tail,
-                                 mmse_attained=mmse, iterations=steps,
-                                 converged=converged)
+                                 mmse_attained=mmse, linear_bound=bound,
+                                 iterations=steps, converged=converged)
 
     def objective(params):
         return _mixture_objective(params, family.k, noise_budget, energy, grid)
@@ -650,8 +666,8 @@ def worst_noise_search(source: DistributionModel, noise_budget: float,
     components = _unpack_mixture(best_x, family.k, noise_budget, 2.0 * grid.dx)
     tail, mmse = energy.tail(_mixture_table(*components, grid))
     return NoiseSearchResult(noise=gaussian_mixture(*components), objective=tail,
-                             mmse_attained=mmse, iterations=total_evals,
-                             converged=converged)
+                             mmse_attained=mmse, linear_bound=bound,
+                             iterations=total_evals, converged=converged)
 
 
 # -- noise recovery from a linear estimator -------------------------------------------

@@ -119,7 +119,9 @@ def test_record_keeps_the_finished_pairs_when_a_run_fails(tmp_path,
     out = tmp_path / "b.json"
     calls = []
 
-    def run_once(checkout, workload, seed):
+    def run_once(checkout, workload, seed, trace=0):
+        if trace:
+            return {"metrics": {}, "exit_code": 0}
         calls.append((workload, seed))
         code = 1 if len(calls) == 5 else 0
         return {"metrics": {"pass_s": {"value": float(len(calls)),
@@ -150,7 +152,7 @@ def test_a_record_with_no_clean_pair_has_empty_summaries(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(_BENCH))
     out = tmp_path / "b.json"
     monkeypatch.setattr(bench_pairs, "run_once",
-                        lambda checkout, workload, seed: {"exit_code": 1})
+                        lambda checkout, workload, seed, trace=0: {"exit_code": 1})
     assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload",
                              "deviate", "--seeds", "5-6", "--out", str(out)]) == 1
     entry = json.loads(out.read_text())["workloads"]["deviate"]
@@ -233,7 +235,9 @@ def test_record_summarizes_measured_times_beside_the_scaled_ones(tmp_path,
     runs = iter([(2.0, 1.5, 1.0), (1.8, 1.2, 1.1),    # seed 1: parent, change
                  (1.9, 1.4, 1.3), (2.1, 1.6, 1.2)])   # seed 2: change, parent
 
-    def run_once(checkout, workload, seed):
+    def run_once(checkout, workload, seed, trace=0):
+        if trace:
+            return {"metrics": {}, "exit_code": 0}
         scaled, measured, kernel = next(runs)
         return {"metrics": {"pass_s": {"value": scaled, "unit": "s"}},
                 "measured": {"pass_s": {"value": measured, "unit": "s"},
@@ -253,3 +257,64 @@ def test_record_summarizes_measured_times_beside_the_scaled_ones(tmp_path,
     assert measured["pass_s"]["change_wins"] == 2
     assert measured["kernel_ms"]["unit"] == "ms"
     assert measured["kernel_ms"]["change_wins"] == 0  # 1.1 > 1.0, 1.3 > 1.2
+
+
+# -- the traced run --------------------------------------------------------------
+
+
+def test_record_holds_one_traced_run_per_side_after_the_pairs(tmp_path,
+                                                              monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(_BENCH))
+    parent, change = tmp_path / "p", tmp_path / "c"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(_BENCH))
+    out = tmp_path / "b.json"
+    calls = []
+
+    def run_once(checkout, workload, seed, trace=0):
+        side = "parent" if checkout == parent.resolve() else "change"
+        calls.append((side, seed, trace))
+        metrics = ({"polyexpand.newton_steps": {"value": 53.0, "unit": "count"}}
+                   if trace else {"pass_s": {"value": 1.0, "unit": "s"}})
+        return {"metrics": metrics, "failed": 0, "attempted": 3, "exit_code": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "deviate",
+                             "--seeds", "4-5", "--out", str(out)]) == 0
+    assert calls == [("parent", 4, 0), ("change", 4, 0), ("change", 5, 0),
+                     ("parent", 5, 0), ("parent", 6, 1), ("change", 6, 1)]
+    traced = json.loads(out.read_text())["workloads"]["deviate"]["traced"]
+    assert traced["command"] == ("python3 jambench/run.py --workload deviate "
+                                 "--seed 6 --trace 1")
+    for side in ("parent", "change"):
+        assert traced["runs"][side]["metrics"] == {
+            "polyexpand.newton_steps": {"value": 53.0, "unit": "count"}}
+
+
+def test_a_failed_traced_run_is_kept_and_exits_1(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(_BENCH))
+    out = tmp_path / "b.json"
+
+    def run_once(checkout, workload, seed, trace=0):
+        return {"metrics": {"pass_s": {"value": 1.0, "unit": "s"}},
+                "failed": 0, "attempted": 3, "exit_code": 2 if trace else 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload",
+                             "deviate", "--seeds", "1-2", "--out", str(out)]) == 1
+    assert "traced run exited non-zero" in capsys.readouterr().err
+    entry = json.loads(out.read_text())["workloads"]["deviate"]
+    assert entry["seeds"] == [1, 2] and entry["failed_pairs"] == []
+    assert [entry["traced"]["runs"][side]["exit_code"]
+            for side in ("parent", "change")] == [2, 2]
+
+
+def test_run_once_passes_the_trace_flag(tmp_path):
+    (tmp_path / "jambench").mkdir()
+    (tmp_path / "jambench" / "run.py").write_text(
+        "import sys\nassert sys.argv[-2:] == ['--trace', '1']\n"
+        'print(\'{"attempted": 5, "failed": 0, "metrics": {}}\')\n')
+    got = bench_pairs.run_once(tmp_path, "worst_noise", 3, 1)
+    assert got == {"attempted": 5, "failed": 0, "metrics": {}, "measured": {},
+                   "exit_code": 0}

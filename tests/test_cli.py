@@ -819,6 +819,9 @@ def test_worst_noise_task(tmp_path):
     assert main(["run", str(path), "--out", str(out)]) == 0
     manifest = json.loads((out / "unit-gauss_result.json").read_text())
     assert manifest["outputs"]["objective"] < 1e-6
+    outputs = manifest["outputs"]
+    # a Gaussian source: its worst noise is Gaussian, at the linear bound
+    assert outputs["mmse_attained"] == pytest.approx(outputs["linear_bound"], abs=1e-9)
     assert (out / "unit-gauss_worst_noise_density.csv").exists()
 
 

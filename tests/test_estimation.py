@@ -16,6 +16,7 @@ from jamlab.estimation import (BayesRatio, convolve_tables,
                                distortion_of, linear_benchmark,
                                matched_source_check, mmse_estimator,
                                output_density)
+from jamlab.polyexpand import _TableEnergy
 
 
 def dense_oracle(source, noise, n_mult=4, grid=None):
@@ -215,22 +216,56 @@ def test_output_density_integrates_to_one():
 # -- the grid convolution ---------------------------------------------------------
 
 
+def _scipy_convolution(a, b, n, size, start):
+    """The n samples from ``start`` of SciPy's transform of a times b at
+    ``size``, the reference for jamlab's numpy transforms."""
+    return sfft.irfft(sfft.rfft(a, size) * sfft.rfft(b, size), size)[..., start:start + n]
+
+
 @pytest.mark.parametrize("n", [2048, 4096, 8192])
 def test_convolve_tables_is_bitwise_fftconvolve(n):
-    # scipy.signal.fftconvolve stays in the tests as the oracle
+    # bitwise the FFT convolution at jamlab's length 3n/2, f's spectrum
+    # first; scipy.signal.fftconvolve, which transforms at a length of 2n or
+    # more, stays in the tests as the oracle of the values
     g = jl.GridSpec(20.0, n)
     fx, fz = jl.laplace(1.0).pdf_on(g), jl.uniform(2.0).pdf_on(g)
     rng = np.random.default_rng(n)
     for f, h in ((g.x * fx, fz), (fx, fz), (rng.random(n), rng.normal(size=n))):
-        want = fftconvolve(f, h)[n // 2: n // 2 + n] * g.dx
-        assert convolve_tables(f, h, g).tobytes() == want.tobytes()
+        got = convolve_tables(f, h, g)
+        want = _scipy_convolution(f, h, n, 3 * n // 2, n // 2) * g.dx
+        assert got.tobytes() == want.tobytes()
+        oracle = fftconvolve(f, h)[n // 2: n // 2 + n] * g.dx
+        assert np.max(np.abs(got - oracle)) <= 8 * np.finfo(float).eps * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("n", [2**k for k in range(6, 16)])
 def test_twice_the_grid_is_the_fast_convolution_length(n):
-    # why BayesRatio transforms at 2n: SciPy's fast length for 2n - 1
-    size = BayesRatio(np.zeros((2, n))).size
-    assert size == sfft.next_fast_len(2 * n - 1, real=True)
+    # why _TableEnergy.hessian_diagonal, the one product kept at 2n, costs
+    # no more than its linear length needs: SciPy's fast length for 2n - 1
+    g = jl.GridSpec(8.0, n)
+    energy = _TableEnergy(jl.laplace(1.0).pdf_on(g), g)
+    assert energy._squares.shape[-1] == n + 1  # the rfft of 2n points
+    assert 2 * n == sfft.next_fast_len(2 * n - 1, real=True)
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(6, 16)])
+def test_three_halves_of_the_grid_is_wrap_free(n):
+    # the linear result of two n-point tables has 2n - 1 samples; at length
+    # 3n/2 its last ones wrap onto indices n/2 - 2 and below, which neither
+    # the forward cut (from n/2) nor the adjoint cut (from n/2 - 1) reads.
+    # Unit impulses at both operands' last entry put the whole linear result
+    # at index 2n - 2, the sample that wraps furthest in.
+    ratio = BayesRatio(np.zeros((2, n)), dx=0.01)
+    assert ratio.size == 3 * n // 2
+    impulse = np.zeros(n)
+    impulse[-1] = 1.0
+    spectrum = ratio.spectrum(impulse) * ratio.spectrum(impulse)
+    for adjoint in (False, True):
+        assert np.max(np.abs(ratio.on_grid(spectrum, adjoint))) < 1e-12
+    # a shorter length wraps the same sample into the cut: 0.01 = 1 dx
+    for size, start in ((3 * n // 2 - 2, n // 2), (3 * n // 2 - 1, n // 2 - 1)):
+        wrapped = _scipy_convolution(impulse, impulse, n, size, start) * ratio.dx
+        assert np.max(np.abs(wrapped)) == pytest.approx(ratio.dx, rel=1e-9)
 
 
 def _scipy_modules_after(code):

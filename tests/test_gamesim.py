@@ -77,8 +77,8 @@ def test_tabulated_jammer_result_pinned():
     rep = verify_rhs_inequality(cfg, 100_000, seed=23,
                                 encoders=companding_encoders(cfg)[:1])
     out = rep.entries[0].outcome
-    assert out.empirical_cost == 0.6670342759609152
-    assert out.std_error == 0.0039424916758046425
+    assert out.empirical_cost == 0.6670342759609128
+    assert out.std_error == 0.003942491675804642
 
 
 _MIX_CFG = JammingGameConfig(
@@ -122,9 +122,9 @@ def _branch_cases():
 
 @pytest.mark.parametrize("case, cost, se", [
     ("deterministic, linear decoder", 0.7542560193844696, 0.003796811627735999),
-    ("randomized, curve decoder", 1.4555851595985256, 0.014514694735895497),
+    ("randomized, curve decoder", 1.4555851595985256, 0.014514694735895499),
     ("rho = 1, no residual", 0.45127305871739626, 0.006629714000378674),
-    ("rho = -0.5, per-sign tables", 0.6533607726002874, 0.007112612117828458),
+    ("rho = -0.5, per-sign tables", 0.6533607726002872, 0.007112612117828459),
     ("rademacher source", 0.6626027558497546, 0.005057435841187791),
     ("mixture source", 0.5327620481138411, 0.005316407663159116),
     ("mixture source, gamma_seed", 0.5346458354146479, 0.005299050953741241),
@@ -494,8 +494,10 @@ def test_exploit_requires_correlation():
 
 
 def test_decoder_deposit_convolution_is_bitwise_fftconvolve(monkeypatch):
-    # the 2-row convolution of the deposits with f_V, against the oracle
-    # scipy.signal.fftconvolve with the kernel broadcast over the rows
+    # the 2-row convolution of the deposits with f_V, bitwise SciPy's FFT
+    # convolution at BayesRatio's length 3n/2 with the kernel broadcast over
+    # the rows, and within rounding of scipy.signal.fftconvolve
+    from scipy import fft as sfft
     from scipy.signal import fftconvolve
     from jamlab import estimation
     tables, ratio_args = [], []
@@ -519,6 +521,10 @@ def test_decoder_deposit_convolution_is_bitwise_fftconvolve(monkeypatch):
     mmse_decoder_for_encoder(UNIT_CFG, companding_encoders(UNIT_CFG)[0],
                              jl.laplace(1.0))
     (deposits, fv), (got,) = tables, ratio_args
-    n = fv.size
-    want = fftconvolve(deposits, fv[None, :], axes=1)[:, n // 2: n // 2 + n]
+    n, size = fv.size, 3 * fv.size // 2
+    want = sfft.irfft(sfft.rfft(deposits, size) * sfft.rfft(fv[None, :], size),
+                      size)[:, n // 2: n // 2 + n]
     assert deposits.shape == (2, n) and got.tobytes() == want.tobytes()
+    oracle = fftconvolve(deposits, fv[None, :], axes=1)[:, n // 2: n // 2 + n]
+    assert np.all(np.abs(got - oracle).max(axis=1)
+                  <= 8 * np.finfo(float).eps * np.abs(oracle).max(axis=1))
