@@ -56,13 +56,13 @@ class BayesRatio:
         self.size = (3 * self.n + 1) // 2
         self._kernels = self.spectrum(rows)
 
-    def spectrum(self, tables, size=None):
-        return np.fft.rfft(tables, size or self.size)
+    def spectrum(self, tables):
+        return np.fft.rfft(tables, self.size)
 
-    def on_grid(self, spectra, adjoint=False, size=None):
+    def on_grid(self, spectra, adjoint=False):
         """An adjoint's kernel is reversed, so its samples start a lag earlier."""
         start = self.n // 2 - adjoint
-        return np.fft.irfft(spectra, size or self.size)[..., start:start + self.n] * self.dx
+        return np.fft.irfft(spectra, self.size)[..., start:start + self.n] * self.dx
 
     def convolve(self, table):
         """The kernel rows convolved with ``table``; kernel spectrum first."""
